@@ -1,9 +1,10 @@
-// BATCH — throughput of the block-at-a-time access API (PR 7/8) against
-// the record-at-a-time scalar path it replaces. Two layers:
-//   * BM_CacheAccessBatch: raw Cache::access_batch, swept across block
-//     sizes AND stream shapes — the resident uncoded-HP shape is the
-//     inline/SIMD hit-probe fast path (replay steady state), the other
-//     shapes price the miss, codec and fault tails.
+// BATCH — throughput of the replay fast path against the virtual
+// Cache::access reference path. Two layers:
+//   * BM_CacheAccessBatch: raw Cache::access_batched, `block` ops per
+//     iteration, swept across block sizes AND stream shapes — the
+//     resident uncoded-HP shape is the inline/SIMD hit-probe fast path
+//     (replay steady state), the other shapes price the miss, codec and
+//     fault tails.
 //   * BM_ReplayBlockSize: full System::run_trace replay of a real
 //     workload trace, swept across block sizes — the end-to-end number
 //     the hvc_explore sweeps and hvc_trace replay see.
@@ -65,12 +66,18 @@ enum Shape : std::int64_t {
   return config;
 }
 
+struct Op {
+  std::uint64_t addr = 0;
+  cache::AccessType type = cache::AccessType::kLoad;
+  std::uint32_t store_value = 0;
+};
+
 /// Mixed op stream over `footprint` bytes; 1 store per 4 ops, 1 ifetch
 /// per 7 (same mix shape as bench_cache_access).
-[[nodiscard]] std::vector<cache::BatchOp> op_stream(std::size_t count,
-                                                    std::size_t footprint) {
+[[nodiscard]] std::vector<Op> op_stream(std::size_t count,
+                                        std::size_t footprint) {
   Rng rng(42);
-  std::vector<cache::BatchOp> ops(count);
+  std::vector<Op> ops(count);
   for (std::size_t i = 0; i < count; ++i) {
     ops[i].addr = (rng.below(footprint) / 4) * 4;
     ops[i].type = (i % 4 == 3)   ? cache::AccessType::kStore
@@ -100,27 +107,23 @@ void BM_CacheAccessBatch(benchmark::State& state) {
   }
   const auto ops = op_stream(4096, shape_footprint(shape));
 
-  cache::AccessBatch batch;
-  batch.ops.reserve(std::max<std::size_t>(block, ops.size()));
+  bool hit = false;
+  std::uint32_t latency = 0;
   // Warmup pass: fill the cache so the resident shape times steady-state
   // hits, not cold fills (the other shapes reach steady state too).
-  batch.clear();
-  for (const cache::BatchOp& op : ops) {
-    batch.push(op.addr, op.type, op.store_value);
+  for (const Op& op : ops) {
+    cache.access_batched(op.addr, op.type, op.store_value, hit, latency);
   }
-  cache.access_batch(batch);
 
   std::size_t i = 0;
   std::uint64_t records = 0;
   for (auto _ : state) {
-    batch.clear();
     for (std::size_t j = 0; j < block; ++j) {
-      const cache::BatchOp& op = ops[i];
-      batch.push(op.addr, op.type, op.store_value);
+      const Op& op = ops[i];
+      cache.access_batched(op.addr, op.type, op.store_value, hit, latency);
       i = (i + 1) % ops.size();
     }
-    cache.access_batch(batch);
-    benchmark::DoNotOptimize(batch.ops.back().latency_cycles);
+    benchmark::DoNotOptimize(latency);
     records += block;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
@@ -147,12 +150,12 @@ void BM_CacheAccessScalar(benchmark::State& state) {
     cache.set_mode(power::Mode::kUle);
   }
   const auto ops = op_stream(4096, shape_footprint(shape));
-  for (const cache::BatchOp& op : ops) {
+  for (const Op& op : ops) {
     (void)cache.access(op.addr, op.type, op.store_value);
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    const cache::BatchOp& op = ops[i];
+    const Op& op = ops[i];
     benchmark::DoNotOptimize(cache.access(op.addr, op.type, op.store_value));
     i = (i + 1) % ops.size();
   }
@@ -165,8 +168,8 @@ BENCHMARK(BM_CacheAccessScalar)
     ->ArgName("shape");
 
 /// End-to-end replay throughput vs block size: one full run_trace of a
-/// BigBench trace per iteration. block=1 is the scalar path; 256 is the
-/// kReplayBlockRecords default the tools use.
+/// BigBench trace per iteration. block=1 refills after every record;
+/// 256 is the kReplayBlockRecords default the tools use.
 void BM_ReplayBlockSize(benchmark::State& state) {
   const auto block = static_cast<std::size_t>(state.range(0));
   const auto workload = wl::find_workload("gsm_c").run(1, 1);
@@ -195,7 +198,7 @@ BENCHMARK(BM_ReplayBlockSize)
 
 int main(int argc, char** argv) {
   hvc::bench::print_header(
-      "BATCH", "block-at-a-time access API vs record-at-a-time scalar");
+      "BATCH", "access_batched fast path vs the virtual access() path");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -48,8 +48,8 @@ typedef std::uint64_t ProbeVec
     __attribute__((vector_size(32), aligned(8)));
 #endif
 
-// AccessType / AccessResult / AccessBatch live in memory_level.hpp (the
-// shared access contract of every hierarchy level).
+// AccessType / AccessResult live in memory_level.hpp (the shared access
+// contract of every hierarchy level).
 
 enum class WritePolicy { kWriteBackAllocate, kWriteThroughNoAllocate };
 
@@ -105,26 +105,21 @@ class Cache : public MemoryLevel {
   Cache(CacheConfig config, MemoryLevel& next_level, Rng& rng);
 
   /// Performs one access at the current mode. Functionally exact: loads
-  /// return the value the program would see.
+  /// return the value the program would see. This is the reference path
+  /// and the miss path of access_batched().
   AccessResult access(std::uint64_t addr, AccessType type,
                       std::uint32_t store_value = 0) override;
 
-  /// Native block-at-a-time path: resolves the block's hits over the
-  /// packed per-way arrays with a hoisted per-mode context (geometry,
-  /// energy handles, codec/fault dispatch pre-resolved once per block
-  /// instead of per record) and falls back to the scalar access() for
-  /// misses, write-through passthroughs and fault-perturbed sets, so
-  /// ordering-sensitive state transitions stay exact. Pinned
-  /// bit-identical to the scalar loop — every stat, every energy
+  /// The replay loop's entry point: identical side effects to access(),
+  /// reporting hit + latency only. Hits resolve over the packed per-way
+  /// arrays with a hoisted per-mode context (geometry, energy handles,
+  /// codec/fault dispatch pre-resolved once per mode instead of per
+  /// record); misses, write-through passthroughs and fault-perturbed sets
+  /// fall back to access(), so ordering-sensitive state transitions stay
+  /// exact. Pinned op by op against access() — every stat, every energy
   /// accumulation step, every latency — by tests/test_batch.cpp.
-  void access_batch(AccessBatch& batch) override;
-
-  /// One op of a conceptual batch: identical side effects to access(),
-  /// through the batch fast path. This exists because cpu::Core must
-  /// interleave IL1/DL1 ops in record order (they share a stateful next
-  /// level), so it cannot hand either cache a multi-op block; it streams
-  /// per-record ops through this entry point instead and gets the same
-  /// hoisted-context win.
+  /// cpu::Core calls it once per record because IL1 and DL1 ops must
+  /// interleave in record order (they share a stateful next level).
   void access_batched(std::uint64_t addr, AccessType type,
                       std::uint32_t store_value, bool& hit,
                       std::uint32_t& latency_cycles);
@@ -374,7 +369,6 @@ class Cache : public MemoryLevel {
     std::vector<std::uint8_t> tag_clean;
   };
 
-  [[nodiscard]] const BatchCtx& batch_ctx();
   void rebuild_batch_ctx();
 
   /// Probe-key sentinel: never equal to a real line address (addresses
@@ -426,9 +420,9 @@ class Cache : public MemoryLevel {
 // Defined here (not in cache.cpp) so the per-record replay loops in
 // cpu::Core inline the probe and the plain-hit replay; only misses and
 // codec/write-through tails leave the caller's frame. The sequence of
-// stat increments and FP energy adds below is EXACTLY the scalar
-// access() hit sequence with its constants pre-resolved — reordering or
-// merging any of the adds breaks the bit-identity pin (test_batch).
+// stat increments and FP energy adds below is EXACTLY the access() hit
+// sequence with its constants pre-resolved — reordering or merging any
+// of the adds breaks the bit-identity pin (test_batch).
 inline void Cache::access_batched(std::uint64_t addr, AccessType type,
                                   std::uint32_t store_value, bool& hit,
                                   std::uint32_t& latency_cycles) {

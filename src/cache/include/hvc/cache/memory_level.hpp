@@ -4,22 +4,21 @@
 // shared L2), or main memory wrapped as the terminal level. The interface
 // carries the three paths a level must serve — line fill, dirty
 // write-back, and single-word fallback (write-through stores and
-// detected-uncorrectable reads) — plus the demand-access entry points the
-// CPU model drives (scalar access() and block-at-a-time access_batch()),
-// the lifecycle operations the hybrid-voltage system drives top-down
-// (mode switch, scrub, flush, reset) and a uniform per-level stats
-// snapshot for reporting.
+// detected-uncorrectable reads) — plus the demand-access entry point
+// access(), the lifecycle operations the hybrid-voltage system drives
+// top-down (mode switch, scrub, flush, reset) and a uniform per-level
+// stats snapshot for reporting. (The CPU model's replay loop calls the
+// L1s through Cache::access_batched, which keeps this contract.)
 //
-// Latency contract (single AccessResult-style convention for every entry
-// point, scalar and batch):
+// Latency contract (one convention for every entry point):
 //   * Every latency this interface returns or reports is the latency of
 //     ONE request in cycles, *including* every deeper level the request
 //     had to reach — an L1 miss simply adds its next level's return value
 //     to its own hit latency, a shared-level arbiter composes its queueing
 //     delay the same way.
 //   * fetch_block / writeback_block / store_word return that latency
-//     directly; access() reports it as AccessResult::latency_cycles; the
-//     batch path reports it per request in BatchOp::latency_cycles.
+//     directly; access() reports it as AccessResult::latency_cycles, and
+//     Cache::access_batched through its latency_cycles out-parameter.
 //   * load_word is the one exception: it is the detected-uncorrectable
 //     fallback path, whose latency is already accounted by the request
 //     that triggered it, so it returns data only.
@@ -28,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "hvc/power/cache_power.hpp"
 
@@ -40,9 +38,9 @@ enum class AccessType { kLoad, kStore, kIfetch };
 
 [[nodiscard]] std::string to_string(AccessType type);
 
-/// Outcome of one access (scalar entry point). The batch path reports the
-/// subset the CPU timing model consumes (hit + latency) per BatchOp; the
-/// full detail below stays available through access().
+/// Outcome of one access. Cache::access_batched reports the subset the
+/// CPU timing model consumes (hit + latency); the full detail below stays
+/// available through access().
 struct AccessResult {
   bool hit = false;
   std::size_t way = 0;
@@ -51,36 +49,6 @@ struct AccessResult {
   bool writeback = false;       ///< a dirty victim was written back
   std::size_t corrected_bits = 0;
   bool detected_uncorrectable = false;
-};
-
-/// One decoded request of an access block: the input fields mirror the
-/// scalar access() arguments; the output fields are filled by
-/// access_batch() with the same values the scalar path would report.
-struct BatchOp {
-  std::uint64_t addr = 0;
-  AccessType type = AccessType::kLoad;
-  std::uint32_t store_value = 0;
-  // --- outputs (written by access_batch) ---
-  std::uint32_t latency_cycles = 0;
-  bool hit = false;
-};
-
-/// A block of decoded requests processed by one access_batch() call, in
-/// op order — batching changes dispatch overhead, never semantics: the
-/// ops' side effects (stats, energy accumulation order, fault and
-/// replacement state) are bit-identical to issuing each op through the
-/// scalar access() path. The vector is reusable across blocks (clear() +
-/// push() without reallocation).
-struct AccessBatch {
-  std::vector<BatchOp> ops;
-
-  BatchOp& push(std::uint64_t addr, AccessType type,
-                std::uint32_t store_value = 0) {
-    ops.push_back(BatchOp{addr, type, store_value, 0, false});
-    return ops.back();
-  }
-  void clear() noexcept { ops.clear(); }
-  [[nodiscard]] std::size_t size() const noexcept { return ops.size(); }
 };
 
 /// Result of one scrub pass over a level (no-op levels report zeros).
@@ -132,13 +100,6 @@ class MemoryLevel {
   /// hit = true; Cache overrides this with the full tag/EDC datapath.
   virtual AccessResult access(std::uint64_t addr, AccessType type,
                               std::uint32_t store_value = 0);
-
-  /// Block-at-a-time entry point over `batch.ops`, in order. The default
-  /// loops the scalar access() virtual, so every MemoryLevel (including
-  /// out-of-tree ones) supports batch callers unchanged; Cache overrides
-  /// it with a batch-resolved fast path that is pinned bit-identical to
-  /// the scalar loop (see tests/test_batch.cpp).
-  virtual void access_batch(AccessBatch& batch);
 
   /// Fill path: reads `count` consecutive aligned 32-bit words starting at
   /// `addr` into `out`. For cache levels the range must not cross one of

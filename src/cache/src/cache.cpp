@@ -409,14 +409,6 @@ AccessResult Cache::access(std::uint64_t addr, AccessType type,
 // everything ordering-sensitive (misses, write-through passthroughs,
 // sets whose stored tags touch stuck bits).
 
-const Cache::BatchCtx& Cache::batch_ctx() {
-  if (!batch_ctx_valid_) {
-    rebuild_batch_ctx();
-    batch_ctx_valid_ = true;
-  }
-  return batch_ctx_;
-}
-
 void Cache::rebuild_batch_ctx() {
   BatchCtx& ctx = batch_ctx_;
   const std::size_t sets = config_.org.sets();
@@ -531,13 +523,6 @@ void Cache::batched_load_coded(std::uint64_t addr, std::size_t hit_way,
     (void)next_level_->load_word(addr);
   } else if (decoded.status == edc::DecodeStatus::kCorrected) {
     stats_.edc_corrections += decoded.corrected_bits;
-  }
-}
-
-void Cache::access_batch(AccessBatch& batch) {
-  for (BatchOp& op : batch.ops) {
-    access_batched(op.addr, op.type, op.store_value, op.hit,
-                   op.latency_cycles);
   }
 }
 

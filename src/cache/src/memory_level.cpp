@@ -31,16 +31,6 @@ AccessResult MemoryLevel::access(std::uint64_t addr, AccessType type,
   return result;
 }
 
-void MemoryLevel::access_batch(AccessBatch& batch) {
-  for (BatchOp& op : batch.ops) {
-    const AccessResult result = op.type == AccessType::kStore
-                                    ? access(op.addr, op.type, op.store_value)
-                                    : access(op.addr, op.type);
-    op.hit = result.hit;
-    op.latency_cycles = static_cast<std::uint32_t>(result.latency_cycles);
-  }
-}
-
 MainMemoryLevel::MainMemoryLevel(MainMemory& memory,
                                  std::size_t latency_cycles, std::string name)
     : memory_(memory),

@@ -42,15 +42,24 @@ class UnixStream {
   /// send_all of line + '\n'.
   bool send_line(const std::string& line);
 
+  /// Longest line read_line() accepts (terminator excluded). It bounds
+  /// the read buffer; the daemon's requests and events are far smaller.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   enum class ReadStatus {
     kLine,         ///< `out` holds one line (terminator stripped)
     kEof,          ///< peer closed cleanly (partial trailing data dropped)
     kInterrupted,  ///< wake_fd became readable before a full line arrived
+    kTooLong,      ///< the line exceeds kMaxLineBytes; the stream is out
+                   ///< of step and should be closed
   };
 
   /// Blocks for the next '\n'-terminated line. With wake_fd >= 0 the
   /// wait also ends (kInterrupted) when that fd is readable; the fd is
-  /// left untouched so it keeps waking other waiters.
+  /// left untouched so it keeps waking other waiters. A longer line than
+  /// kMaxLineBytes ends the wait with kTooLong as soon as one byte too
+  /// many has arrived. Every received byte is scanned for the terminator
+  /// once, however many recv() calls a line takes.
   ReadStatus read_line(std::string& out, int wake_fd = -1);
 
   void close() noexcept;
@@ -58,6 +67,7 @@ class UnixStream {
  private:
   int fd_ = -1;
   std::string buffer_;  ///< bytes received past the last returned line
+  std::size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'
 };
 
 /// A bound + listening Unix-domain socket. Binding recovers from stale

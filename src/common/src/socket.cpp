@@ -70,13 +70,15 @@ UnixStream::~UnixStream() { close(); }
 
 UnixStream::UnixStream(UnixStream&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      buffer_(std::move(other.buffer_)) {}
+      buffer_(std::move(other.buffer_)),
+      scanned_(std::exchange(other.scanned_, 0)) {}
 
 UnixStream& UnixStream::operator=(UnixStream&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     buffer_ = std::move(other.buffer_);
+    scanned_ = std::exchange(other.scanned_, 0);
   }
   return *this;
 }
@@ -126,12 +128,21 @@ bool UnixStream::send_line(const std::string& line) {
 UnixStream::ReadStatus UnixStream::read_line(std::string& out, int wake_fd) {
   expects(valid(), "read on a closed stream");
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    // Resume where the last scan stopped: rescanning from byte 0 after
+    // every recv() would make a long line cost quadratic time.
+    const std::size_t newline = buffer_.find('\n', scanned_);
+    const std::size_t line_bytes =
+        newline == std::string::npos ? buffer_.size() : newline;
+    if (line_bytes > kMaxLineBytes) {
+      return ReadStatus::kTooLong;
+    }
     if (newline != std::string::npos) {
       out.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return ReadStatus::kLine;
     }
+    scanned_ = buffer_.size();
     if (!wait_readable(fd_, wake_fd)) {
       return ReadStatus::kInterrupted;
     }
@@ -160,6 +171,7 @@ void UnixStream::close() noexcept {
     fd_ = -1;
   }
   buffer_.clear();
+  scanned_ = 0;
 }
 
 UnixListener::~UnixListener() { close(); }

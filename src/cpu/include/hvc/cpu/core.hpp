@@ -111,24 +111,6 @@ struct RunResult {
   }
 };
 
-/// Per-phase wall-time breakdown of one streaming replay (hvc_trace
-/// replay --profile): where the run() loop actually spent its time, so
-/// perf regressions can be attributed without a profiler. decode covers
-/// TraceSource::next_batch (varint decode / record copy), access covers
-/// step_batch (the cache/pipeline model), retire covers begin_run,
-/// counter clears and the finish_run roll-up.
-struct ReplayProfile {
-  double decode_s = 0.0;
-  double access_s = 0.0;
-  double retire_s = 0.0;
-  std::uint64_t records = 0;
-  std::uint64_t blocks = 0;
-
-  [[nodiscard]] double total_s() const noexcept {
-    return decode_s + access_s + retire_s;
-  }
-};
-
 /// The core: owns the non-L1 arrays, borrows the memory hierarchy.
 class Core {
  public:
@@ -144,27 +126,20 @@ class Core {
   [[nodiscard]] RunResult run(const trace::Tracer& tracer);
 
   /// Streaming replay: pulls records from `source` in blocks of
-  /// `block_records` (1 = the legacy record-at-a-time loop), so the
-  /// memory held during the run is the source's own window plus one
-  /// block (an on-disk trace of any length replays in O(1) memory). The
-  /// source is reset() first; replaying the same source twice — or with
-  /// any other block size — gives bit-identical results.
+  /// `block_records`, so the memory held during the run is the source's
+  /// own window plus one block (an on-disk trace of any length replays
+  /// in O(1) memory). The source is reset() first; replaying the same
+  /// source twice — or with any other block size — gives bit-identical
+  /// results.
   [[nodiscard]] RunResult run(trace::TraceSource& source,
                               std::size_t block_records =
                                   trace::kReplayBlockRecords);
 
-  /// run() with per-phase wall-clock timing accumulated into `profile`
-  /// (timers wrap each decode/access/retire section, so the replay
-  /// result itself stays bit-identical to the untimed run).
-  [[nodiscard]] RunResult run_profiled(trace::TraceSource& source,
-                                       std::size_t block_records,
-                                       ReplayProfile& profile);
-
   // --- incremental replay (multi-core interleaving) ---
-  // run() is begin_run() + step() per record + finish_run(); a round-robin
-  // interleaver (sim::System::run_mix) drives several cores' states through
-  // the same per-record code, so a one-core interleaved run is bit-identical
-  // to run().
+  // run() is begin_run() + step_batch() per block + finish_run(); a
+  // round-robin interleaver (sim::System::run_mix) drives several cores'
+  // states through the same per-record step_fast(), so a one-core
+  // interleaved run is bit-identical to run().
 
   /// Mutable state of one in-flight replay.
   struct RunState {
@@ -183,22 +158,18 @@ class Core {
   /// once for all cores.
   void begin_run();
 
-  /// Replays one trace record against the pipeline/energy model.
-  void step(const trace::Record& record, RunState& state);
-
-  /// step() with the L1 lookup routed through Cache::access_batched —
-  /// identical arithmetic, no virtual dispatch on the hit path. The
-  /// multi-core interleaver (sim::System::run_mix) steps this per
-  /// record so blocked replay keeps the exact scalar round order.
-  /// Defined inline below so that per-record loop pays no cross-TU call.
+  /// Replays one trace record against the pipeline/energy model, with
+  /// the L1 lookups routed through Cache::access_batched (no virtual
+  /// dispatch on the hit path). The multi-core interleaver
+  /// (sim::System::run_mix) steps this per record so every core keeps
+  /// the one-record-per-round order. Defined inline below so that
+  /// per-record loop pays no cross-TU call.
   void step_fast(const trace::Record& record, RunState& state);
 
-  /// Replays a block of records through the batched L1 entry points
-  /// (cache::Cache::access_batched). Records are stepped strictly in
-  /// order — IL1 and DL1 share the next level and the Bernoulli stream
-  /// is consumed per record — so the result is bit-identical to
-  /// `count` step() calls; the win is the devirtualized, division-free
-  /// cache fast path under each record.
+  /// Replays a block of records through step_fast(). Records are stepped
+  /// strictly in order — IL1 and DL1 share the next level and the
+  /// Bernoulli stream is consumed per record — so any split of a trace
+  /// into blocks gives bit-identical results.
   void step_batch(const trace::Record* records, std::size_t count,
                   RunState& state);
 
@@ -253,8 +224,7 @@ class Core {
 // Defined here (not in core.cpp) so the replay drivers — Core::run's
 // block loop and the multi-core interleaver in sim::System, which steps
 // one record per core per round — inline the whole per-record pipeline
-// model together with the cache's inline access_batched. The arithmetic
-// is EXACTLY step(): only the L1 dispatch differs.
+// model together with the cache's inline access_batched.
 inline void Core::step_fast(const trace::Record& record, RunState& state) {
   cache::Cache& il1_ = *ports_.il1;
   cache::Cache& dl1_ = *ports_.dl1;
@@ -281,6 +251,8 @@ inline void Core::step_fast(const trace::Record& record, RunState& state) {
       if (!hit) {
         state.cycles += latency - consts_.dl1_hit;
       }
+      // Load-to-use: with probability p the consumer is adjacent and
+      // exposes the (hit latency - 1) bubble, including the EDC cycle.
       if (consts_.dl1_hit > 1 &&
           rng_.bernoulli(params_.load_use_adjacent_prob)) {
         state.cycles += consts_.dl1_hit - 1;
@@ -300,6 +272,8 @@ inline void Core::step_fast(const trace::Record& record, RunState& state) {
     case trace::Kind::kBranch: {
       if (record.taken && consts_.il1_hit > 1 &&
           rng_.bernoulli(params_.redirect_on_taken)) {
+        // Fetch redirect: the next fetch waits for the full IL1 hit
+        // latency (incl. the EDC cycle) instead of overlapping.
         state.cycles += consts_.il1_hit - 1;
       }
       break;
@@ -311,7 +285,7 @@ inline void Core::step_batch(const trace::Record* records, std::size_t count,
                              RunState& state) {
   // Strictly in record order: IL1 and DL1 share the next level, and the
   // Bernoulli stream is consumed per load/branch — any per-cache
-  // sub-batching would reorder state the scalar path sees.
+  // sub-batching would reorder that shared state.
   for (std::size_t i = 0; i < count; ++i) {
     step_fast(records[i], state);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <utility>
 
 #include "hvc/common/error.hpp"
@@ -99,57 +98,6 @@ void Core::begin_run() {
   consts_.dl1_hit = ports_.dl1->hit_latency();
 }
 
-void Core::step(const trace::Record& record, RunState& state) {
-  cache::Cache& il1_ = *ports_.il1;
-  cache::Cache& dl1_ = *ports_.dl1;
-  switch (record.kind) {
-    case trace::Kind::kIfetch: {
-      ++state.instructions;
-      ++state.cycles;  // base CPI 1 with pipelined fetch
-      const auto access = il1_.access(record.addr, cache::AccessType::kIfetch);
-      if (!access.hit) {
-        state.cycles += access.latency_cycles - consts_.il1_hit;  // miss stall
-      }
-      state.arrays_dynamic += consts_.tlb_read;  // ITLB lookup
-      state.arrays_dynamic +=
-          2.0 * consts_.rf_read + consts_.rf_write;  // operand read/writeback
-      state.core_dynamic += consts_.core_energy_per_instr;
-      break;
-    }
-    case trace::Kind::kLoad: {
-      const auto access = dl1_.access(record.addr, cache::AccessType::kLoad);
-      if (!access.hit) {
-        state.cycles += access.latency_cycles - consts_.dl1_hit;
-      }
-      // Load-to-use: with probability p the consumer is adjacent and
-      // exposes the (hit latency - 1) bubble, including the EDC cycle.
-      if (consts_.dl1_hit > 1 &&
-          rng_.bernoulli(params_.load_use_adjacent_prob)) {
-        state.cycles += consts_.dl1_hit - 1;
-      }
-      state.arrays_dynamic += consts_.tlb_read;  // DTLB
-      break;
-    }
-    case trace::Kind::kStore: {
-      const auto access = dl1_.access(record.addr, cache::AccessType::kStore);
-      if (!access.hit) {
-        state.cycles += access.latency_cycles - consts_.dl1_hit;
-      }
-      state.arrays_dynamic += consts_.tlb_read;
-      break;
-    }
-    case trace::Kind::kBranch: {
-      if (record.taken && consts_.il1_hit > 1 &&
-          rng_.bernoulli(params_.redirect_on_taken)) {
-        // Fetch redirect: the next fetch waits for the full IL1 hit
-        // latency (incl. the EDC cycle) instead of overlapping.
-        state.cycles += consts_.il1_hit - 1;
-      }
-      break;
-    }
-  }
-}
-
 RunResult Core::run(const trace::Tracer& tracer) {
   trace::MemoryTraceSource source(tracer);
   return run(source);
@@ -163,61 +111,12 @@ RunResult Core::run(trace::TraceSource& source, std::size_t block_records) {
     level->clear_level_counters();
   }
   RunState state;
-  if (block_records == 1) {
-    trace::Record record;
-    while (source.next(record)) {
-      step(record, state);
-    }
-  } else {
-    std::vector<trace::Record> block(block_records);
-    std::size_t got = 0;
-    while ((got = source.next_batch(block.data(), block.size())) > 0) {
-      step_batch(block.data(), got, state);
-    }
+  std::vector<trace::Record> block(block_records);
+  std::size_t got = 0;
+  while ((got = source.next_batch(block.data(), block.size())) > 0) {
+    step_batch(block.data(), got, state);
   }
   return finish_run(state);
-}
-
-RunResult Core::run_profiled(trace::TraceSource& source,
-                             std::size_t block_records,
-                             ReplayProfile& profile) {
-  expects(block_records > 0, "block_records must be at least 1");
-  using clock = std::chrono::steady_clock;
-  const auto seconds = [](clock::time_point a, clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-
-  auto t0 = clock::now();
-  source.reset();
-  begin_run();
-  for (cache::MemoryLevel* level : ports_.shared) {
-    level->clear_level_counters();
-  }
-  auto t1 = clock::now();
-  profile.retire_s += seconds(t0, t1);
-
-  RunState state;
-  std::vector<trace::Record> block(block_records);
-  for (;;) {
-    t0 = clock::now();
-    const std::size_t got = source.next_batch(block.data(), block.size());
-    t1 = clock::now();
-    profile.decode_s += seconds(t0, t1);
-    if (got == 0) {
-      break;
-    }
-    step_batch(block.data(), got, state);
-    t0 = clock::now();
-    profile.access_s += seconds(t1, t0);
-    profile.records += got;
-    ++profile.blocks;
-  }
-
-  t0 = clock::now();
-  RunResult result = finish_run(state);
-  t1 = clock::now();
-  profile.retire_s += seconds(t0, t1);
-  return result;
 }
 
 RunResult Core::finish_run(const RunState& state, bool include_shared) const {

@@ -4,8 +4,8 @@
 //   planner   PointSource   pulls points lazily in the documented order
 //                           (point_source.hpp);
 //   scheduler/
-//   executor  Executor      thread pool + plan memo + warm/cold routing +
-//                           in-order reorder buffer (executor.hpp);
+//   executor  Executor      thread pool + warm/cold routing + in-order
+//                           reorder buffer (executor.hpp);
 //   sink      ResultSink    where finished rows go — collect, CSV, JSON,
 //                           store commit, tee (sink.hpp);
 //   service   serve daemon  long-running Executor shared by socket

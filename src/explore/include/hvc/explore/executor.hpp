@@ -1,11 +1,11 @@
 // Scheduler/executor layer of the sweep engine.
 //
-// An Executor owns the worker threads and the plan memo (the expensive
-// Fig. 2 sizing runs, keyed by their inputs and computed once each). It
-// pulls points from a PointSource a window at a time, answers warm
-// points straight from an attached result store, evaluates cold points
-// on the pool, and pushes finished rows into a ResultSink in source
-// order — whatever order workers finish in.
+// An Executor owns the worker threads. It pulls points from a
+// PointSource a window at a time, answers warm points straight from an
+// attached result store, evaluates cold points on the pool (their Fig. 2
+// sizing runs come from sim::cell_plan_for, keyed by their inputs and
+// computed once each per process), and pushes finished rows into a
+// ResultSink in source order — whatever order workers finish in.
 //
 // Determinism guarantee (unchanged from the monolithic engine): for a
 // fixed spec the emitted rows are byte-identical at ANY thread count.
@@ -19,13 +19,12 @@
 //      never see concurrent calls — sinks need no locking).
 //
 // One Executor may serve many concurrent run() calls (the serve daemon
-// shares one pool and one plan memo across clients); each run tracks its
-// own completion, so runs never observe each other beyond sharing CPU.
+// shares one pool across clients); each run tracks its own completion,
+// so runs never observe each other beyond sharing CPU.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -40,9 +39,6 @@ class ThreadPool;
 }
 namespace hvc::store {
 class ResultStore;
-}
-namespace hvc::yield {
-struct CacheCellPlan;
 }
 
 namespace hvc::explore {
@@ -115,25 +111,13 @@ class Executor {
   [[nodiscard]] bool cancelled() const noexcept;
 
  private:
-  struct PlanSlot;
   struct RunState;
-
-  /// The sized cell plan for one (scenario, hp_vcc, ule_vcc,
-  /// target_yield), computed on first use and memoized for the life of
-  /// the Executor — shared across runs, clients and threads.
-  [[nodiscard]] const yield::CacheCellPlan& plan_for(const SweepSpec& spec,
-                                                     const SweepPoint& point);
 
   void evaluate_into(const SweepSpec& spec, const SweepPoint& point,
                      std::size_t seq, const std::shared_ptr<RunState>& state);
 
   std::size_t threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;  ///< null when threads_ == 1
-
-  std::mutex plans_mutex_;
-  std::map<std::tuple<int, double, double, double>,
-           std::shared_ptr<PlanSlot>>
-      plans_;
 
   mutable std::mutex runs_mutex_;
   std::vector<std::shared_ptr<RunState>> runs_;  ///< active runs

@@ -11,9 +11,9 @@
 //  * next_batch() appends up to `max_points` points and returns how many
 //    it appended; 0 means the source is exhausted (== done()).
 //  * The order points come out of the source is the order rows go into
-//    the sinks — for GridPointSource that is exactly the documented
-//    expand_points() order, so point indices (and therefore every
-//    per-point RNG stream) are unchanged by the lazy plan.
+//    the sinks — for GridPointSource that is the documented nested-loop
+//    order of spec.hpp, so a point's index (and therefore its RNG
+//    stream) does not depend on how the plan is pulled.
 //  * estimated_remaining() is exact for grid/list sources; adaptive
 //    sources may estimate (it feeds --dry-run and progress totals, never
 //    correctness).
@@ -41,10 +41,11 @@ class PointSource {
   [[nodiscard]] virtual bool done() const = 0;
 };
 
-/// The cartesian-grid planner: enumerates a SweepSpec's points lazily in
-/// the documented nested-loop order. Bit-for-bit compatible with
-/// expand_points() — same points, same indices (tests/test_explore_layers
-/// pins this) — while holding O(axes) state however large the grid is.
+/// The cartesian-grid planner, and the only grid enumerator:
+/// enumerates a SweepSpec's points lazily in the documented nested-loop
+/// order while holding O(axes) state however large the grid is.
+/// expand_points() drains one; tests/test_explore_layers pins the order
+/// against committed point lists (tests/golden/points/).
 class GridPointSource final : public PointSource {
  public:
   explicit GridPointSource(const SweepSpec& spec);
@@ -62,7 +63,7 @@ class GridPointSource final : public PointSource {
 
   SweepSpec spec_;
   // Normalized axis values (methodology sweeps collapse the degenerate
-  // axes to one entry each, exactly as expand_points does).
+  // axes to one entry each).
   std::vector<bool> designs_;
   std::vector<std::string> l2_designs_;
   std::vector<double> l2_sizes_;

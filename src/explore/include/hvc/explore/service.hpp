@@ -7,8 +7,9 @@
 // scheduled cold on the shared pool otherwise, with rows streamed back
 // as they are emitted (in point order — the same bytes a batch run
 // would produce). Several clients run concurrently; they share the
-// executor's threads and plan memo, so a second client asking for an
-// overlapping design space pays nothing for the overlap.
+// executor's threads and the process-wide sizing memo
+// (sim::cell_plan_for), so a second client asking for an overlapping
+// design space pays nothing for the overlap.
 //
 // Wire protocol (one JSON document per line, both directions):
 //   request   {"spec": {...sweep spec...}, "id": <any>?}
@@ -20,7 +21,10 @@
 // "csv" strings carry no trailing newline; joining csv_header and every
 // row with '\n' (plus a final '\n') reproduces the batch CSV byte for
 // byte. "id" is echoed verbatim when the request carried one. After an
-// error event the connection stays usable for further requests.
+// error event the connection stays usable for further requests, except
+// after a request line longer than UnixStream::kMaxLineBytes (1 MiB): it
+// gets an error event naming the cap, and then the daemon closes the
+// connection.
 //
 // Shutdown: request_stop() is async-signal-safe (it only writes one
 // byte to a self-pipe). The accept loop wakes, in-flight queries are

@@ -132,7 +132,8 @@ struct SweepPoint {
   [[nodiscard]] std::vector<std::string> core_workloads() const;
 };
 
-/// Expands the cartesian product in the documented order.
+/// Every point of the sweep in the documented order: a GridPointSource
+/// (point_source.hpp) drained into a vector.
 [[nodiscard]] std::vector<SweepPoint> expand_points(const SweepSpec& spec);
 
 }  // namespace hvc::explore

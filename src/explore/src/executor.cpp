@@ -4,7 +4,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <limits>
-#include <tuple>
+#include <map>
 #include <utility>
 
 #include "hvc/common/io.hpp"
@@ -269,13 +269,6 @@ std::vector<std::string> sweep_columns(SweepKind kind) {
                                         : methodology_columns();
 }
 
-/// One memoized Fig. 2 sizing run. call_once gives exactly-once compute
-/// per key with concurrent readers of OTHER keys never blocking on it.
-struct Executor::PlanSlot {
-  std::once_flag once;
-  yield::CacheCellPlan plan;
-};
-
 /// Book-keeping of one run() call. Workers deposit finished rows keyed
 /// by their pull sequence; the coordinating thread (the run() caller)
 /// emits the contiguous prefix, so sinks see source order, serialized.
@@ -319,37 +312,14 @@ bool Executor::cancelled() const noexcept {
   return cancelled_;
 }
 
-const yield::CacheCellPlan& Executor::plan_for(const SweepSpec& spec,
-                                               const SweepPoint& point) {
-  const auto key = std::make_tuple(static_cast<int>(point.scenario),
-                                   point.hp_vcc, point.ule_vcc,
-                                   spec.target_yield);
-  std::shared_ptr<PlanSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    auto& entry = plans_[key];
-    if (!entry) {
-      entry = std::make_shared<PlanSlot>();
-    }
-    slot = entry;
-  }
-  const double target_yield = spec.target_yield;
-  std::call_once(slot->once, [&slot, &point, target_yield] {
-    yield::MethodologyConfig config;
-    config.target_yield = target_yield;
-    slot->plan = yield::run_methodology(point.scenario, point.hp_vcc,
-                                        point.ule_vcc, config);
-  });
-  return slot->plan;
-}
-
 void Executor::evaluate_into(const SweepSpec& spec, const SweepPoint& point,
                              std::size_t seq,
                              const std::shared_ptr<RunState>& state) {
   std::vector<std::string> cells;
   std::exception_ptr failure;
   try {
-    const yield::CacheCellPlan& plan = plan_for(spec, point);
+    const yield::CacheCellPlan& plan = sim::cell_plan_for(
+        point.scenario, point.hp_vcc, point.ule_vcc, spec.target_yield);
     cells = spec.kind == SweepKind::kSimulation
                 ? simulate_point(spec, point, plan)
                 : methodology_point(spec, point, plan);

@@ -8,9 +8,8 @@ namespace hvc::explore {
 
 GridPointSource::GridPointSource(const SweepSpec& spec) : spec_(spec) {
   const bool simulation = spec_.kind == SweepKind::kSimulation;
-  // The same normalization expand_points performs: a methodology sweep's
-  // design/mode/workload axes collapse to one iteration each, so the two
-  // enumerations cannot drift apart.
+  // A methodology sweep's design/hierarchy/mode/workload/scrub axes
+  // collapse to one iteration each.
   designs_ = simulation ? spec_.designs : std::vector<bool>{false};
   l2_designs_ =
       simulation ? spec_.l2_designs : std::vector<std::string>{"none"};
@@ -45,8 +44,8 @@ SweepPoint GridPointSource::current() const {
 void GridPointSource::advance() {
   // Odometer increment, innermost digit first. The only non-rectangular
   // axis is l2_size: the "none" hierarchy shape has no L2 to size, so its
-  // size digit rolls over after a single value (matching expand_points'
-  // size_count collapse).
+  // size digit rolls over after a single value (SweepSpec::point_count
+  // counts the same collapse).
   const std::size_t bases[10] = {
       spec_.scenarios.size(),
       designs_.size(),
@@ -77,6 +76,13 @@ std::size_t GridPointSource::next_batch(std::size_t max_points,
     advance();
   }
   return count;
+}
+
+std::vector<SweepPoint> expand_points(const SweepSpec& spec) {
+  GridPointSource source(spec);
+  std::vector<SweepPoint> points;
+  source.next_batch(source.estimated_remaining(), points);
+  return points;
 }
 
 std::size_t ListPointSource::next_batch(std::size_t max_points,

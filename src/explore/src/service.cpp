@@ -23,6 +23,19 @@ namespace {
 /// is aborted and the connection closed; other clients are unaffected.
 struct ClientGone {};
 
+/// Sends one error event (echoing `id` when non-null); false when the
+/// client already hung up.
+bool send_error(UnixStream& stream, const Json* id,
+                const std::string& message) {
+  Json event;
+  event.set("event", Json("error"));
+  if (id != nullptr) {
+    event.set("id", *id);
+  }
+  event.set("error", Json(message));
+  return stream.send_line(event.dump());
+}
+
 /// Streams one query's events onto the client socket. Lives on the
 /// connection thread; the executor serializes all calls, so no locking.
 class SocketSink final : public ResultSink {
@@ -178,6 +191,15 @@ void Service::serve_connection(UnixStream stream) {
   for (;;) {
     const UnixStream::ReadStatus status =
         stream.read_line(line, stop_pipe_.read_fd());
+    if (status == UnixStream::ReadStatus::kTooLong) {
+      // The rest of the line is still in flight, so the stream cannot be
+      // brought back in step: name the cap and hang up.
+      (void)send_error(stream, nullptr,
+                       "request line exceeds the " +
+                           std::to_string(UnixStream::kMaxLineBytes) +
+                           "-byte limit; closing the connection");
+      return;
+    }
     if (status != UnixStream::ReadStatus::kLine) {
       return;  // client left, or shutdown woke us
     }
@@ -196,13 +218,7 @@ void Service::handle_request(UnixStream& stream, const std::string& line) {
   Json id;
   bool has_id = false;
   const auto fail = [&](const std::string& message) {
-    Json event;
-    event.set("event", Json("error"));
-    if (has_id) {
-      event.set("id", id);
-    }
-    event.set("error", Json(message));
-    if (!stream.send_line(event.dump())) {
+    if (!send_error(stream, has_id ? &id : nullptr, message)) {
       throw ClientGone{};
     }
   };

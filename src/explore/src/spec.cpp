@@ -458,8 +458,8 @@ std::size_t SweepSpec::point_count() const noexcept {
   std::size_t count = scenarios.size() * hp_vccs.size() * ule_vccs.size();
   if (kind == SweepKind::kSimulation) {
     // "none" has no L2 to size: it contributes one hierarchy shape however
-    // many sizes the l2_size_kb axis lists (expand_points collapses it the
-    // same way, so no duplicate rows are simulated).
+    // many sizes the l2_size_kb axis lists (GridPointSource collapses it
+    // the same way, so no duplicate rows are simulated).
     std::size_t l2_shapes = 0;
     for (const auto& l2 : l2_designs) {
       l2_shapes += l2 == "none" ? 1 : l2_size_kbs.size();
@@ -477,72 +477,6 @@ std::vector<std::string> SweepPoint::core_workloads() const {
     return split_mix(workload_mix);
   }
   return {workload};
-}
-
-std::vector<SweepPoint> expand_points(const SweepSpec& spec) {
-  std::vector<SweepPoint> points;
-  points.reserve(spec.point_count());
-  const bool simulation = spec.kind == SweepKind::kSimulation;
-  // Single nested loop in the documented order; the degenerate axes of a
-  // methodology sweep collapse to one iteration each.
-  const std::vector<bool> designs = simulation ? spec.designs
-                                               : std::vector<bool>{false};
-  const std::vector<std::string> l2_designs =
-      simulation ? spec.l2_designs : std::vector<std::string>{"none"};
-  const std::vector<double> l2_sizes =
-      simulation ? spec.l2_size_kbs : std::vector<double>{64.0};
-  const std::vector<std::size_t> cores =
-      simulation ? spec.cores : std::vector<std::size_t>{1};
-  const std::vector<power::Mode> modes =
-      simulation ? spec.modes : std::vector<power::Mode>{power::Mode::kHp};
-  // The workload slot iterates over plain names or over per-core mixes,
-  // whichever the spec declares.
-  const bool mixes = simulation && !spec.workload_mixes.empty();
-  const std::vector<std::string> workloads =
-      !simulation ? std::vector<std::string>{""}
-      : mixes     ? spec.workload_mixes
-                  : spec.workloads;
-  const std::vector<double> scrubs =
-      simulation ? spec.scrub_intervals_s : std::vector<double>{0.0};
-  for (const auto scenario : spec.scenarios) {
-    for (const bool proposed : designs) {
-      for (const auto& l2_design : l2_designs) {
-        // The "none" shape has no L2 to size: one point, not one per size.
-        const std::size_t size_count =
-            l2_design == "none" ? 1 : l2_sizes.size();
-        for (std::size_t si = 0; si < size_count; ++si) {
-          const double l2_size_kb = l2_sizes[si];
-          for (const std::size_t core_count : cores) {
-            for (const auto mode : modes) {
-              for (const double hp_vcc : spec.hp_vccs) {
-                for (const double ule_vcc : spec.ule_vccs) {
-                  for (const auto& workload : workloads) {
-                    for (const double scrub : scrubs) {
-                      SweepPoint point;
-                      point.index = points.size();
-                      point.scenario = scenario;
-                      point.proposed = proposed;
-                      point.l2_design = l2_design;
-                      point.l2_size_kb = l2_size_kb;
-                      point.cores = core_count;
-                      point.mode = mode;
-                      point.hp_vcc = hp_vcc;
-                      point.ule_vcc = ule_vcc;
-                      (mixes ? point.workload_mix : point.workload) =
-                          workload;
-                      point.scrub_interval_s = scrub;
-                      points.push_back(std::move(point));
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return points;
 }
 
 }  // namespace hvc::explore

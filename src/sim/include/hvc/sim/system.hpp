@@ -132,20 +132,12 @@ class System {
   [[nodiscard]] cpu::RunResult run_trace(const trace::Tracer& tracer);
 
   /// Streaming replay on core 0: records are pulled in blocks of
-  /// `block_records` (1 = the record-at-a-time scalar path; any block
-  /// size is bit-identical), so memory stays bounded by the source's
-  /// window plus one block for traces of any length. The source is
-  /// reset() first.
+  /// `block_records` (any block size is bit-identical), so memory stays
+  /// bounded by the source's window plus one block for traces of any
+  /// length. The source is reset() first.
   [[nodiscard]] cpu::RunResult run_trace(
       trace::TraceSource& source,
       std::size_t block_records = trace::kReplayBlockRecords);
-
-  /// run_trace with per-phase wall time (decode / access / retire)
-  /// accumulated into `profile` — the hvc_trace `replay --profile`
-  /// backend. The replay result is bit-identical to run_trace.
-  [[nodiscard]] cpu::RunResult run_trace_profiled(trace::TraceSource& source,
-                                                  std::size_t block_records,
-                                                  cpu::ReplayProfile& profile);
 
   /// The workload seed of core `core` for a mix run at base `seed`:
   /// core 0 keeps the bare seed (a one-name mix on a one-core chip
@@ -172,10 +164,10 @@ class System {
   /// memory for N-core mixes of arbitrarily long traces). Each core's
   /// records are pulled from its source in blocks of `block_records`
   /// (amortizing per-record decode/dispatch) but executed strictly in
-  /// the same record-per-core round order as `block_records == 1`, so
-  /// every block size retires records — and drives the shared-level
-  /// arbiter — bit-identically. Sources are reset() first; `names`
-  /// labels MulticoreResult::core_workloads.
+  /// that record-per-core round order, so every block size retires
+  /// records — and drives the shared-level arbiter — bit-identically.
+  /// Sources are reset() first; `names` labels
+  /// MulticoreResult::core_workloads.
   [[nodiscard]] MulticoreResult run_mix_sources(
       const std::vector<trace::TraceSource*>& sources,
       std::vector<std::string> names = {},
@@ -251,11 +243,15 @@ class System {
   std::uint64_t mode_switches_ = 0;
 };
 
-/// Runs the methodology once and caches the plan per scenario (the sizing
-/// loop is deterministic, so this is shared across benches/tests).
-/// Thread-safe: concurrent callers see one shared, immutable plan.
+/// The Fig. 2 sizing plan for one (scenario, hp_vcc, ule_vcc,
+/// target_yield), computed on first use and memoized for the life of the
+/// process (the sizing loop is deterministic, so one plan serves every
+/// bench, test, sweep point and daemon client). Thread-safe: concurrent
+/// callers see one shared, immutable plan per key. The defaults are the
+/// paper's operating point.
 [[nodiscard]] const yield::CacheCellPlan& cell_plan_for(
-    yield::Scenario scenario);
+    yield::Scenario scenario, double hp_vcc = 1.0, double ule_vcc = 0.35,
+    double target_yield = 0.99);
 
 /// Convenience: build a system and run one workload.
 [[nodiscard]] cpu::RunResult run_one(const SystemConfig& config,

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <map>
 #include <mutex>
+#include <tuple>
 
 #include "hvc/common/error.hpp"
 #include "hvc/trace/trace_file.hpp"
@@ -289,12 +290,6 @@ cpu::RunResult System::run_trace(trace::TraceSource& source,
   return cores_[0]->run(source, block_records);
 }
 
-cpu::RunResult System::run_trace_profiled(trace::TraceSource& source,
-                                          std::size_t block_records,
-                                          cpu::ReplayProfile& profile) {
-  return cores_[0]->run_profiled(source, block_records, profile);
-}
-
 std::uint64_t System::core_workload_seed(std::uint64_t seed,
                                          std::size_t core) noexcept {
   // Core 0 keeps the bare seed for bit-compatibility with run_workload.
@@ -384,125 +379,93 @@ MulticoreResult System::run_mix_sources(
   // Rotating start core, tracked incrementally: `(round + k) % n` with a
   // runtime n would put an integer divide on every record.
   std::size_t start = 0;
-  if (block_records == 1) {
-    // Scalar reference path: one virtual next() + one step() per record.
-    trace::Record record;
-    while (active > 0) {
-      for (std::size_t k = 0; k < n; ++k) {
-        std::size_t c = start + k;
-        if (c >= n) {
-          c -= n;
+  // Each core refills a private record buffer through next_batch()
+  // (amortized decode, no per-record virtual dispatch), but execution
+  // stays round-major with one record per core per round, so shared-level
+  // state (L2 sets, arbiter occupancy) and each core's Bernoulli stream
+  // see the same order at any block size. A core retires in the round
+  // its refill comes back empty.
+  std::vector<std::vector<trace::Record>> blocks(n);
+  std::vector<std::size_t> len(n, 0);
+  std::vector<std::size_t> pos(n, 0);
+  for (auto& block : blocks) {
+    block.resize(block_records);
+  }
+  while (active > 0) {
+    if (active == 1) {
+      // Degenerate tail: one core left (mixes of unequal-length traces
+      // spend most of their rounds here, and a one-core chip starts
+      // here). Round order IS record order, so drop the per-record
+      // round scan: the requester declaration is loop-invariant
+      // (retired cores issue nothing), and with an arbiter each record
+      // still closes its own round, so the priority/occupancy
+      // accounting replays the generic loop exactly.
+      std::size_t c = 0;
+      while (done[c] != 0) {
+        ++c;
+      }
+      if (arb != nullptr) {
+        arb->begin_request(c);
+        for (;;) {
+          if (pos[c] == len[c]) {
+            len[c] = sources[c]->next_batch(blocks[c].data(), block_records);
+            pos[c] = 0;
+            if (len[c] == 0) {
+              break;
+            }
+          }
+          const trace::Record* records = blocks[c].data();
+          const std::size_t end = len[c];
+          for (std::size_t p = pos[c]; p < end; ++p) {
+            cores[c]->step_fast(records[p], states[c]);
+            arb->new_round();
+          }
+          pos[c] = end;
         }
-        if (done[c] != 0) {
-          continue;
+      } else {
+        // Nothing shared to arbitrate: whole blocks at a time.
+        if (pos[c] < len[c]) {
+          cores[c]->step_batch(blocks[c].data() + pos[c], len[c] - pos[c],
+                               states[c]);
+          pos[c] = len[c];
         }
-        if (!sources[c]->next(record)) {
+        std::size_t got = 0;
+        while ((got = sources[c]->next_batch(blocks[c].data(),
+                                             block_records)) > 0) {
+          cores[c]->step_batch(blocks[c].data(), got, states[c]);
+        }
+      }
+      done[c] = 1;
+      active = 0;
+      break;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t c = start + k;
+      if (c >= n) {
+        c -= n;
+      }
+      if (done[c] != 0) {
+        continue;
+      }
+      if (pos[c] == len[c]) {
+        len[c] = sources[c]->next_batch(blocks[c].data(), block_records);
+        pos[c] = 0;
+        if (len[c] == 0) {
           done[c] = 1;
           --active;
           continue;
         }
-        if (arb != nullptr) {
-          arb->begin_request(c);
-        }
-        cores[c]->step(record, states[c]);
       }
       if (arb != nullptr) {
-        arb->new_round();
+        arb->begin_request(c);
       }
-      if (++start == n) {
-        start = 0;
-      }
+      cores[c]->step_fast(blocks[c][pos[c]++], states[c]);
     }
-  } else {
-    // Blocked path: each core refills a private record buffer through
-    // next_batch() (amortized decode, no per-record virtual dispatch)
-    // but execution stays round-major with one record per core per
-    // round — shared-level state (L2 sets, arbiter occupancy) and each
-    // core's Bernoulli stream see exactly the scalar order, so any
-    // block size is bit-identical. A core retires when its refill
-    // comes back empty: the same round its scalar next() would fail.
-    std::vector<std::vector<trace::Record>> blocks(n);
-    std::vector<std::size_t> len(n, 0);
-    std::vector<std::size_t> pos(n, 0);
-    for (auto& block : blocks) {
-      block.resize(block_records);
+    if (arb != nullptr) {
+      arb->new_round();
     }
-    while (active > 0) {
-      if (active == 1) {
-        // Degenerate tail: one core left (mixes of unequal-length traces
-        // spend most of their rounds here, and a one-core chip starts
-        // here). Round order IS record order, so drop the per-record
-        // round scan: the requester declaration is loop-invariant
-        // (retired cores issue nothing), and with an arbiter each record
-        // still closes its own round, so the priority/occupancy
-        // accounting replays the generic loop exactly.
-        std::size_t c = 0;
-        while (done[c] != 0) {
-          ++c;
-        }
-        if (arb != nullptr) {
-          arb->begin_request(c);
-          for (;;) {
-            if (pos[c] == len[c]) {
-              len[c] = sources[c]->next_batch(blocks[c].data(), block_records);
-              pos[c] = 0;
-              if (len[c] == 0) {
-                break;
-              }
-            }
-            const trace::Record* records = blocks[c].data();
-            const std::size_t end = len[c];
-            for (std::size_t p = pos[c]; p < end; ++p) {
-              cores[c]->step_fast(records[p], states[c]);
-              arb->new_round();
-            }
-            pos[c] = end;
-          }
-        } else {
-          // Nothing shared to arbitrate: whole blocks at a time.
-          if (pos[c] < len[c]) {
-            cores[c]->step_batch(blocks[c].data() + pos[c], len[c] - pos[c],
-                                 states[c]);
-            pos[c] = len[c];
-          }
-          std::size_t got = 0;
-          while ((got = sources[c]->next_batch(blocks[c].data(),
-                                               block_records)) > 0) {
-            cores[c]->step_batch(blocks[c].data(), got, states[c]);
-          }
-        }
-        done[c] = 1;
-        active = 0;
-        break;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        std::size_t c = start + k;
-        if (c >= n) {
-          c -= n;
-        }
-        if (done[c] != 0) {
-          continue;
-        }
-        if (pos[c] == len[c]) {
-          len[c] = sources[c]->next_batch(blocks[c].data(), block_records);
-          pos[c] = 0;
-          if (len[c] == 0) {
-            done[c] = 1;
-            --active;
-            continue;
-          }
-        }
-        if (arb != nullptr) {
-          arb->begin_request(c);
-        }
-        cores[c]->step_fast(blocks[c][pos[c]++], states[c]);
-      }
-      if (arb != nullptr) {
-        arb->new_round();
-      }
-      if (++start == n) {
-        start = 0;
-      }
+    if (++start == n) {
+      start = 0;
     }
   }
 
@@ -586,18 +549,31 @@ double System::cache_area_um2() const noexcept {
   return l1_area_um2() + (l2_ ? l2_->total_area_um2() : 0.0);
 }
 
-const yield::CacheCellPlan& cell_plan_for(yield::Scenario scenario) {
-  // Shared across every System built by concurrent explorer workers; the
-  // map's node-based references stay valid after later insertions, so the
-  // lock only needs to cover lookup + the one-time sizing run.
+const yield::CacheCellPlan& cell_plan_for(yield::Scenario scenario,
+                                          double hp_vcc, double ule_vcc,
+                                          double target_yield) {
+  // Shared across every System built by concurrent explorer workers and
+  // serve-daemon clients. Map nodes never move, so the lock only covers
+  // the lookup; call_once then runs each key's sizing exactly once
+  // without making callers of OTHER keys wait for it.
+  struct Slot {
+    std::once_flag once;
+    yield::CacheCellPlan plan;
+  };
   static std::mutex mutex;
-  static std::map<yield::Scenario, yield::CacheCellPlan> plans;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = plans.find(scenario);
-  if (it == plans.end()) {
-    it = plans.emplace(scenario, yield::run_methodology(scenario)).first;
+  static std::map<std::tuple<yield::Scenario, double, double, double>, Slot>
+      plans;
+  Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    slot = &plans[{scenario, hp_vcc, ule_vcc, target_yield}];
   }
-  return it->second;
+  std::call_once(slot->once, [&] {
+    yield::MethodologyConfig config;
+    config.target_yield = target_yield;
+    slot->plan = yield::run_methodology(scenario, hp_vcc, ule_vcc, config);
+  });
+  return slot->plan;
 }
 
 cpu::RunResult run_one(const SystemConfig& config, const std::string& workload,

@@ -21,9 +21,9 @@
 
 namespace hvc::trace {
 
-/// Default number of records pulled and stepped per block by the batch
-/// replay paths (cpu::Core::run, sim::System::run_mix, hvc_trace replay
-/// --block-size). 1 forces the record-at-a-time scalar path.
+/// Default number of records pulled and stepped per block by the replay
+/// loops (cpu::Core::run, sim::System::run_mix). Any block size, 1
+/// included, replays bit-identically; the size only amortizes dispatch.
 inline constexpr std::size_t kReplayBlockRecords = 256;
 
 enum class Kind : std::uint8_t {
@@ -54,7 +54,7 @@ class Tracer;
 
 /// Pull interface over a stream of trace records. The CPU timing model
 /// (cpu::Core::run, sim::System::run_trace/run_mix) consumes traces
-/// through this interface only, one record at a time, so a replay's
+/// through this interface only, one block at a time, so a replay's
 /// memory footprint is bounded by the source's own window — an on-disk
 /// trace of any length replays without materializing a std::vector of
 /// every record (see TraceFileSource in trace_file.hpp).

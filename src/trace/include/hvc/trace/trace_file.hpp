@@ -59,15 +59,16 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  /// Encodes one record (kind tag + per-stream address delta).
+  /// Encodes one record (kind tag + per-stream address delta): a
+  /// one-record append_batch().
   void append(const Record& record);
 
-  /// Encodes a run of records, byte-identical to `count` append() calls.
-  /// The encoder state (delta chains, stats counters, window cursor) is
-  /// hoisted into locals for the whole run and each record is written
-  /// with one headroom check instead of a per-byte capacity test, so
-  /// whole-block capture (write_trace, Tracer dumps) runs at memory
-  /// speed between window flushes.
+  /// Encodes a run of records; the file bytes do not depend on how a
+  /// stream is split into calls. The encoder state (delta chains, stats
+  /// counters, window cursor) is hoisted into locals for the whole run
+  /// and each record is written with one headroom check instead of a
+  /// per-byte capacity test, so whole-block capture (write_trace, Tracer
+  /// dumps) runs at memory speed between window flushes.
   void append_batch(const Record* records, std::size_t count);
 
   /// Flushes, writes the footer and closes the file. Idempotent.
@@ -80,8 +81,6 @@ class TraceWriter {
   }
 
  private:
-  void put_byte(std::uint8_t byte);
-  void put_varint(std::uint64_t value);
   void flush_buffer();
 
   std::string path_;

@@ -231,21 +231,6 @@ TraceWriter::~TraceWriter() {
   }
 }
 
-void TraceWriter::put_byte(std::uint8_t byte) {
-  if (buf_len_ == buffer_.size()) {
-    flush_buffer();
-  }
-  buffer_[buf_len_++] = byte;
-}
-
-void TraceWriter::put_varint(std::uint64_t value) {
-  while (value >= 0x80) {
-    put_byte(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  put_byte(static_cast<std::uint8_t>(value));
-}
-
 void TraceWriter::flush_buffer() {
   if (buf_len_ == 0) {
     return;
@@ -258,47 +243,7 @@ void TraceWriter::flush_buffer() {
   buf_len_ = 0;
 }
 
-void TraceWriter::append(const Record& record) {
-  expects(!finished_, "append after finish()");
-  std::uint8_t tag = 0;
-  std::uint64_t* last = nullptr;
-  switch (record.kind) {
-    case Kind::kIfetch:
-      tag = 0;
-      last = &last_code_;
-      ++instructions_;
-      code_lo_ = std::min(code_lo_, record.addr);
-      code_hi_ = std::max(code_hi_, record.addr + 4);
-      break;
-    case Kind::kLoad:
-      tag = 1;
-      last = &last_data_;
-      ++loads_;
-      data_lo_ = std::min(data_lo_, record.addr);
-      data_hi_ = std::max(data_hi_, record.addr + 4);
-      break;
-    case Kind::kStore:
-      tag = 2;
-      last = &last_data_;
-      ++stores_;
-      data_lo_ = std::min(data_lo_, record.addr);
-      data_hi_ = std::max(data_hi_, record.addr + 4);
-      break;
-    case Kind::kBranch:
-      tag = 3;
-      last = &last_code_;
-      ++branches_;
-      if (record.taken) {
-        tag |= kTakenBit;
-        ++taken_branches_;
-      }
-      break;
-  }
-  put_byte(tag);
-  put_varint(zigzag_encode(static_cast<std::int64_t>(record.addr - *last)));
-  *last = record.addr;
-  ++records_;
-}
+void TraceWriter::append(const Record& record) { append_batch(&record, 1); }
 
 void TraceWriter::append_batch(const Record* records, std::size_t count) {
   expects(!finished_, "append after finish()");

@@ -1,13 +1,13 @@
-// Differential pin of the batch access path (PR 7): every op issued
-// through Cache::access_batch / access_batched and every block size
-// threaded through Core::run / System::run_mix must be bit-identical —
-// all stats, every energy category as an exact double, every per-op
-// hit/latency — to the record-at-a-time scalar path. FP accumulation is
-// order-sensitive, so these tests use EXPECT_EQ on doubles throughout:
-// "close" means the batch path took a different arithmetic route.
+// Differential pin of the replay fast path: every op issued through
+// Cache::access_batched must match the reference Cache::access — the
+// per-op hit/latency, every stat and every energy category as an exact
+// double, after every op — and every block size threaded through
+// Core::run / System::run_mix must retire bit-identical runs. FP
+// accumulation is order-sensitive, so these tests use EXPECT_EQ on
+// doubles throughout: "close" means the fast path took a different
+// arithmetic route.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,17 +23,13 @@ namespace {
 using cache::AccessType;
 
 // ---------------------------------------------------------------------
-// Cache-level differential: twin caches, one scalar, one batched.
+// Cache-level differential: twin caches, one driven through access(),
+// one through access_batched().
 // ---------------------------------------------------------------------
 
-struct CacheVariant {
-  cache::CacheConfig config;
-  const char* label = "";
-};
-
-/// Paper-shaped 8KB 7+1 cache, parameterized over the axes the batch
-/// fast path special-cases: EDC codecs, hard faults (tag faults force
-/// the scalar fallback per set), and the write policy.
+/// Paper-shaped 8KB 7+1 cache, parameterized over the axes the fast path
+/// special-cases: EDC codecs, hard faults (tag faults force the access()
+/// fallback per set), and the write policy.
 [[nodiscard]] cache::CacheConfig shaped_config(edc::Protection hp_protection,
                                                edc::Protection ule_protection,
                                                double ule_pf,
@@ -54,12 +50,18 @@ struct CacheVariant {
   return config;
 }
 
+struct Op {
+  std::uint64_t addr = 0;
+  AccessType type = AccessType::kLoad;
+  std::uint32_t store_value = 0;
+};
+
 /// Mixed op stream over ~2x the cache footprint: hits, misses,
 /// evictions, 1 store per 4 ops, 1 ifetch per 7.
-[[nodiscard]] std::vector<cache::BatchOp> op_stream(std::size_t count,
-                                                    std::uint64_t seed) {
+[[nodiscard]] std::vector<Op> op_stream(std::size_t count,
+                                        std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<cache::BatchOp> ops(count);
+  std::vector<Op> ops(count);
   for (std::size_t i = 0; i < count; ++i) {
     ops[i].addr = (rng.below(2 * 8 * 1024) / 4) * 4;
     ops[i].type = (i % 4 == 3)   ? AccessType::kStore
@@ -70,9 +72,25 @@ struct CacheVariant {
   return ops;
 }
 
-void expect_stats_equal(const cache::Cache& scalar,
+/// Every stat and both energy categories, compared exactly.
+[[nodiscard]] bool same_counters(const cache::Cache& reference,
+                                 const cache::Cache& batched) {
+  const cache::CacheStats& a = reference.stats();
+  const cache::CacheStats& b = batched.stats();
+  return a.accesses == b.accesses && a.hits == b.hits &&
+         a.misses == b.misses && a.loads == b.loads &&
+         a.stores == b.stores && a.ifetches == b.ifetches &&
+         a.fills == b.fills && a.writebacks == b.writebacks &&
+         a.edc_corrections == b.edc_corrections &&
+         a.edc_detected == b.edc_detected &&
+         a.mode_switch_writebacks == b.mode_switch_writebacks &&
+         reference.dynamic_energy_j() == batched.dynamic_energy_j() &&
+         reference.edc_energy_j() == batched.edc_energy_j();
+}
+
+void expect_stats_equal(const cache::Cache& reference,
                         const cache::Cache& batched, const char* what) {
-  const cache::CacheStats& a = scalar.stats();
+  const cache::CacheStats& a = reference.stats();
   const cache::CacheStats& b = batched.stats();
   EXPECT_EQ(a.accesses, b.accesses) << what;
   EXPECT_EQ(a.hits, b.hits) << what;
@@ -86,121 +104,104 @@ void expect_stats_equal(const cache::Cache& scalar,
   EXPECT_EQ(a.edc_detected, b.edc_detected) << what;
   EXPECT_EQ(a.mode_switch_writebacks, b.mode_switch_writebacks) << what;
   // The pin that matters most: FP energy, exactly.
-  EXPECT_EQ(scalar.dynamic_energy_j(), batched.dynamic_energy_j()) << what;
-  EXPECT_EQ(scalar.edc_energy_j(), batched.edc_energy_j()) << what;
+  EXPECT_EQ(reference.dynamic_energy_j(), batched.dynamic_energy_j()) << what;
+  EXPECT_EQ(reference.edc_energy_j(), batched.edc_energy_j()) << what;
 }
 
-/// Drives the same op stream through a scalar twin and a batched twin
-/// (same config, same seeds) at the given block size, switching both to
-/// `switch_mode` at op `switch_at` when set. Compares every per-op
-/// hit/latency and the final stats/energy.
+/// Drives the same op stream through a reference twin (access()) and a
+/// fast-path twin (access_batched(), one call per op, as cpu::Core
+/// issues them), switching both to `switch_mode` before op `switch_at`
+/// when set. Compares the hit/latency, every stat and both energy
+/// categories after every op, then the memory images.
 void run_differential(const cache::CacheConfig& config, power::Mode mode,
-                      std::size_t block, const char* what,
-                      std::size_t switch_at = 0,
+                      const char* what, std::size_t switch_at = 0,
                       power::Mode switch_mode = power::Mode::kHp) {
   cache::MainMemory mem_a, mem_b;
   Rng rng_a(7), rng_b(7);
   cache::MainMemoryLevel term_a(mem_a, config.memory_latency_cycles);
   cache::MainMemoryLevel term_b(mem_b, config.memory_latency_cycles);
-  cache::Cache scalar(config, term_a, rng_a);
+  cache::Cache reference(config, term_a, rng_a);
   cache::Cache batched(config, term_b, rng_b);
-  scalar.set_mode(mode);
+  reference.set_mode(mode);
   batched.set_mode(mode);
 
-  const auto ops = op_stream(4096, 42);
-  cache::AccessBatch batch;
-  std::size_t i = 0;
-  while (i < ops.size()) {
+  const std::vector<Op> ops = op_stream(4096, 42);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
     if (switch_at != 0 && i == switch_at) {
-      scalar.set_mode(switch_mode);
+      reference.set_mode(switch_mode);
       batched.set_mode(switch_mode);
     }
-    std::size_t end = std::min(i + block, ops.size());
-    if (switch_at > i && switch_at < end) {
-      end = switch_at;  // the switch lands between two batches
+    const Op& op = ops[i];
+    bool hit = false;
+    std::uint32_t latency = 0;
+    batched.access_batched(op.addr, op.type, op.store_value, hit, latency);
+    const cache::AccessResult ref =
+        reference.access(op.addr, op.type, op.store_value);
+    ASSERT_EQ(ref.hit, hit) << what << " op " << i;
+    ASSERT_EQ(static_cast<std::uint32_t>(ref.latency_cycles), latency)
+        << what << " op " << i;
+    if (!same_counters(reference, batched)) {
+      expect_stats_equal(reference, batched, what);
+      FAIL() << what << ": counters diverge at op " << i;
     }
-    batch.clear();
-    for (std::size_t j = i; j < end; ++j) {
-      batch.push(ops[j].addr, ops[j].type, ops[j].store_value);
-    }
-    batched.access_batch(batch);
-    for (std::size_t j = i; j < end; ++j) {
-      const auto ref =
-          scalar.access(ops[j].addr, ops[j].type, ops[j].store_value);
-      const cache::BatchOp& op = batch.ops[j - i];
-      ASSERT_EQ(ref.hit, op.hit) << what << " op " << j;
-      ASSERT_EQ(static_cast<std::uint32_t>(ref.latency_cycles),
-                op.latency_cycles)
-          << what << " op " << j;
-    }
-    i = end;
   }
-  expect_stats_equal(scalar, batched, what);
+  expect_stats_equal(reference, batched, what);
   // The stored memory images must agree too (stores/writebacks).
   for (std::uint64_t a = 0; a < 2 * 8 * 1024; a += 512) {
     EXPECT_EQ(mem_a.read_word(a), mem_b.read_word(a)) << what;
   }
 }
 
-class BatchBlockSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchBlockSizes, HpUncodedBitIdentical) {
+TEST(BatchDifferential, HpUncodedBitIdentical) {
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 0.0,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, GetParam(), "hp-uncoded");
+                   power::Mode::kHp, "hp-uncoded");
 }
 
-TEST_P(BatchBlockSizes, HpCodedBitIdentical) {
+TEST(BatchDifferential, HpCodedBitIdentical) {
   // SECDED on every way at HP: lookup tag-decode charges, per-load data
-  // decode and per-store encode all replay through the batch path.
+  // decode and per-store encode all replay through the fast path.
   run_differential(shaped_config(edc::Protection::kSecded,
                                  edc::Protection::kSecded, 0.0,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, GetParam(), "hp-coded");
+                   power::Mode::kHp, "hp-coded");
 }
 
-TEST_P(BatchBlockSizes, UleFaultyBitIdentical) {
-  // Exaggerated Pf: stuck tag bits force per-set scalar fallback and
-  // stuck data bits feed the live correction path — both must land on
-  // exactly the scalar counters.
+TEST(BatchDifferential, UleFaultyBitIdentical) {
+  // Exaggerated Pf: stuck tag bits force the per-set access() fallback
+  // and stuck data bits feed the live correction path — both must land
+  // on exactly the reference counters.
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 3e-3,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kUle, GetParam(), "ule-faulty");
+                   power::Mode::kUle, "ule-faulty");
 }
 
-TEST_P(BatchBlockSizes, WriteThroughBitIdentical) {
+TEST(BatchDifferential, WriteThroughBitIdentical) {
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 0.0,
                                  cache::WritePolicy::kWriteThroughNoAllocate),
-                   power::Mode::kHp, GetParam(), "write-through");
+                   power::Mode::kHp, "write-through");
 }
 
-TEST_P(BatchBlockSizes, MidStreamModeSwitchBitIdentical) {
-  // HP -> ULE at op 1000 (mid-block for every size > 1): the drain
-  // writebacks, the batch-context invalidation and the post-switch ULE
-  // accounting must all replay exactly.
+TEST(BatchDifferential, MidStreamModeSwitchBitIdentical) {
+  // HP -> ULE at op 1000: the drain writebacks, the fast-path context
+  // invalidation and the post-switch ULE accounting must all replay
+  // exactly.
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 1e-3,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, GetParam(), "mode-switch", 1000,
-                   power::Mode::kUle);
+                   power::Mode::kHp, "mode-switch", 1000, power::Mode::kUle);
 }
-
-// Block sizes: scalar degenerate (1), tiny odd (3), the replay default
-// (256), and one that does not divide the 4096-op stream evenly.
-INSTANTIATE_TEST_SUITE_P(Blocks, BatchBlockSizes,
-                         ::testing::Values(1, 3, 256, 1000));
 
 // ---------------------------------------------------------------------
 // Associativity sweep: the vectorized hit probe (PR 8) compares probe
 // rows padded to a multiple of the vector width, so ways 1 and 2 probe
 // mostly sentinel lanes and way 8 fills two full vectors. Every width
-// must replay the scalar path bit-identically — same hits, same
+// must match the reference bit-identically — same hits, same
 // exact-double energy — across the codec, fault and write-policy axes.
 // ---------------------------------------------------------------------
-
 /// 8KB cache at `ways` associativity (sets shrink to keep the paper's
 /// capacity), last way always the ULE way.
 [[nodiscard]] cache::CacheConfig ways_config(std::size_t ways,
@@ -233,60 +234,35 @@ TEST_P(BatchWays, HpUncodedBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, 256, "ways-hp-uncoded");
+                   power::Mode::kHp, "ways-hp-uncoded");
 }
 
 TEST_P(BatchWays, HpCodedBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kSecded,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, 256, "ways-hp-coded");
+                   power::Mode::kHp, "ways-hp-coded");
 }
 
 TEST_P(BatchWays, UleFaultyBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 3e-3,
                                cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kUle, 256, "ways-ule-faulty");
+                   power::Mode::kUle, "ways-ule-faulty");
 }
 
 TEST_P(BatchWays, WriteThroughBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteThroughNoAllocate),
-                   power::Mode::kHp, 256, "ways-write-through");
+                   power::Mode::kHp, "ways-write-through");
 }
 
 INSTANTIATE_TEST_SUITE_P(Ways, BatchWays, ::testing::Values(1, 2, 4, 8));
 
-TEST(BatchDefaultLoop, MainMemoryLevelMatchesScalar) {
-  // The MemoryLevel base default (loop the scalar virtuals) is what
-  // ArbitratedLevel and out-of-tree levels inherit: pin it too.
-  cache::MainMemory mem_a, mem_b;
-  cache::MainMemoryLevel scalar(mem_a, 20);
-  cache::MainMemoryLevel batched(mem_b, 20);
-
-  const auto ops = op_stream(256, 9);
-  cache::AccessBatch batch;
-  for (const auto& op : ops) {
-    batch.push(op.addr, op.type, op.store_value);
-  }
-  batched.access_batch(batch);
-  for (std::size_t j = 0; j < ops.size(); ++j) {
-    const auto ref = scalar.access(ops[j].addr, ops[j].type,
-                                   ops[j].store_value);
-    EXPECT_EQ(ref.hit, batch.ops[j].hit);
-    EXPECT_EQ(static_cast<std::uint32_t>(ref.latency_cycles),
-              batch.ops[j].latency_cycles);
-  }
-  const auto sa = scalar.level_stats();
-  const auto sb = batched.level_stats();
-  EXPECT_EQ(sa.accesses, sb.accesses);
-  EXPECT_EQ(sa.hits, sb.hits);
-}
-
 // ---------------------------------------------------------------------
-// System-level differential: whole-run results across block sizes.
+// System-level differential: whole-run results across block sizes. All
+// sizes run the one replay loop; these pin its refill boundaries.
 // ---------------------------------------------------------------------
 
 /// Bit-identical comparison of two run results (same contract as
@@ -343,11 +319,11 @@ TEST(SystemBatch, RunTraceBlockSizesBitIdenticalFig3) {
   trace::MemoryTraceSource source(workload.tracer);
 
   sim::System reference(config, sim::cell_plan_for(config.design.scenario));
-  const cpu::RunResult scalar = reference.run_trace(source, 1);
+  const cpu::RunResult block1 = reference.run_trace(source, 1);
   for (const std::size_t block : {std::size_t{3}, std::size_t{256},
                                   std::size_t{1000}}) {
     sim::System system(config, sim::cell_plan_for(config.design.scenario));
-    expect_run_identical(scalar, system.run_trace(source, block), "fig3");
+    expect_run_identical(block1, system.run_trace(source, block), "fig3");
   }
 }
 
@@ -359,10 +335,10 @@ TEST(SystemBatch, RunTraceBlockSizesBitIdenticalFig4) {
   trace::MemoryTraceSource source(workload.tracer);
 
   sim::System reference(config, sim::cell_plan_for(config.design.scenario));
-  const cpu::RunResult scalar = reference.run_trace(source, 1);
+  const cpu::RunResult block1 = reference.run_trace(source, 1);
   for (const std::size_t block : {std::size_t{3}, std::size_t{256}}) {
     sim::System system(config, sim::cell_plan_for(config.design.scenario));
-    expect_run_identical(scalar, system.run_trace(source, block), "fig4");
+    expect_run_identical(block1, system.run_trace(source, block), "fig4");
   }
 }
 
@@ -373,9 +349,9 @@ TEST(SystemBatch, RunTraceWithL2BitIdentical) {
   trace::MemoryTraceSource source(workload.tracer);
 
   sim::System reference(config, sim::cell_plan_for(config.design.scenario));
-  const cpu::RunResult scalar = reference.run_trace(source, 1);
+  const cpu::RunResult block1 = reference.run_trace(source, 1);
   sim::System system(config, sim::cell_plan_for(config.design.scenario));
-  expect_run_identical(scalar, system.run_trace(source, 256), "l2");
+  expect_run_identical(block1, system.run_trace(source, 256), "l2");
 }
 
 void expect_mix_identical(const sim::MulticoreResult& a,
@@ -389,8 +365,8 @@ void expect_mix_identical(const sim::MulticoreResult& a,
 
 TEST(SystemBatch, RunMixArbiterBlockSizesBitIdentical) {
   // 2 cores contending for the shared memory port through the arbiter:
-  // the blocked interleaver must reproduce the scalar round order (and
-  // with it every contention cycle) at any block size.
+  // the interleaver must keep one round order (and with it every
+  // contention cycle) at any block size.
   const sim::SystemConfig config =
       system_config(yield::Scenario::kA, power::Mode::kHp, 2, false);
   const auto wl_a = wl::find_workload("gsm_c").run(1, 1);
@@ -404,9 +380,9 @@ TEST(SystemBatch, RunMixArbiterBlockSizesBitIdentical) {
     return system.run_mix_sources(sources, {"gsm_c", "adpcm_c"}, block);
   };
 
-  const sim::MulticoreResult scalar = run_at(1);
-  expect_mix_identical(scalar, run_at(3), "arbiter block 3");
-  expect_mix_identical(scalar, run_at(256), "arbiter block 256");
+  const sim::MulticoreResult block1 = run_at(1);
+  expect_mix_identical(block1, run_at(3), "arbiter block 3");
+  expect_mix_identical(block1, run_at(256), "arbiter block 256");
 }
 
 TEST(SystemBatch, RunMixSharedL2BlockSizesBitIdentical) {
@@ -426,8 +402,8 @@ TEST(SystemBatch, RunMixSharedL2BlockSizesBitIdentical) {
     return system.run_mix_sources(sources, {"epic_c", "adpcm_d"}, block);
   };
 
-  const sim::MulticoreResult scalar = run_at(1);
-  expect_mix_identical(scalar, run_at(256), "shared-l2 block 256");
+  const sim::MulticoreResult block1 = run_at(1);
+  expect_mix_identical(block1, run_at(256), "shared-l2 block 256");
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // The layered sweep engine's seams: GridPointSource must enumerate the
-// exact expand_points() order at any batch size (point index == RNG
-// stream identity, so this is a determinism pin, not a style check),
-// ListPointSource preserves given indices, the sinks format/tally rows
-// faithfully, and an Executor fed a subset of a grid reproduces the
-// matching rows of a full run_sweep byte-for-byte.
+// committed point lists (tests/golden/points/) at any batch size (point
+// index == RNG stream identity, so this is a determinism pin, not a
+// style check), ListPointSource preserves given indices, the sinks
+// format/tally rows faithfully, and an Executor fed a subset of a grid
+// reproduces the matching rows of a full run_sweep byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "hvc/common/error.hpp"
+#include "hvc/common/io.hpp"
 #include "hvc/explore/engine.hpp"
 #include "hvc/explore/executor.hpp"
 #include "hvc/explore/point_source.hpp"
@@ -85,29 +87,78 @@ void expect_same_points(const std::vector<SweepPoint>& actual,
   }
 }
 
-TEST(GridPointSourceTest, MatchesExpandPointsAtEveryBatchSize) {
+/// One point as a line of its committed list: every field, doubles in
+/// %.17g so the text round-trips exactly.
+[[nodiscard]] std::string point_line(const SweepPoint& p) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "%zu,%s,%s,%s,%.17g,%zu,%s,%.17g,%.17g,%s,%s,%.17g",
+                p.index, yield::to_string(p.scenario),
+                p.proposed ? "proposed" : "baseline", p.l2_design.c_str(),
+                p.l2_size_kb, p.cores,
+                p.mode == power::Mode::kHp ? "hp" : "ule", p.hp_vcc,
+                p.ule_vcc, p.workload.c_str(), p.workload_mix.c_str(),
+                p.scrub_interval_s);
+  return buf;
+}
+
+/// The committed point list of a spec: its header line, then one line
+/// per point in enumeration order.
+[[nodiscard]] std::vector<std::string> golden_lines(const std::string& name) {
+  const std::string text = read_text_file(std::string(HVC_GOLDEN_DIR) +
+                                          "/points/" + name + ".csv");
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t end = text.find('\n'); end != std::string::npos;
+       end = text.find('\n', start)) {
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+TEST(GridPointSourceTest, MatchesGoldenPointListsAtEveryBatchSize) {
+  std::size_t checked = 0;
   for (const char* text : {kGridSpec, kMixSpec, kMethodologySpec}) {
     const SweepSpec spec = SweepSpec::parse(text);
-    const std::vector<SweepPoint> expected = expand_points(spec);
+    const std::vector<std::string> golden = golden_lines(spec.name);
+    ASSERT_GE(golden.size(), 2u) << spec.name;
+    const std::vector<std::string> expected(golden.begin() + 1, golden.end());
     for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
                                     std::size_t{7}, std::size_t{1000}}) {
       GridPointSource source(spec);
       EXPECT_EQ(source.estimated_remaining(), expected.size());
       EXPECT_FALSE(source.done());
-      expect_same_points(drain(source, batch), expected);
+      const std::vector<SweepPoint> points = drain(source, batch);
+      ASSERT_EQ(points.size(), expected.size()) << spec.name;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        ASSERT_EQ(point_line(points[i]), expected[i])
+            << spec.name << " point " << i << " at batch " << batch;
+      }
       EXPECT_TRUE(source.done());
       EXPECT_EQ(source.estimated_remaining(), 0u);
       // An exhausted source stays exhausted.
       std::vector<SweepPoint> extra;
       EXPECT_EQ(source.next_batch(batch, extra), 0u);
     }
+    // expand_points() yields the same list.
+    std::vector<std::string> expanded;
+    for (const SweepPoint& point : expand_points(spec)) {
+      expanded.push_back(point_line(point));
+    }
+    EXPECT_EQ(expanded, expected) << spec.name;
+    checked += expected.size();
   }
+  EXPECT_EQ(checked, 106u);
 }
 
 TEST(GridPointSourceTest, L2NoneCollapsesTheSizeAxis) {
   const SweepSpec spec = SweepSpec::parse(kGridSpec);
   // l2="none" contributes 1 (not 2) size variants, so the lazy count and
-  // the eager expansion must both see the collapse.
+  // the eager expansion must both see the collapse: 2 scenarios x 2
+  // designs x (1 + 2) hierarchy shapes x 2 modes x 2 workloads x 2
+  // scrub intervals.
+  EXPECT_EQ(spec.point_count(), 96u);
   GridPointSource source(spec);
   EXPECT_EQ(source.estimated_remaining(), spec.point_count());
   EXPECT_EQ(source.estimated_remaining(), expand_points(spec).size());

@@ -268,6 +268,32 @@ TEST(ServeTest, StopMidQueryLeavesStoreCleanAndResumedDaemonAgrees) {
   std::remove(store_path.c_str());
 }
 
+TEST(ServeTest, OverlongRequestGetsAnErrorThenEofAndTheDaemonServesOn) {
+  const std::string socket_path = temp_name("overlong.sock");
+  ServiceRunner runner(ServeOptions{socket_path, "", false, 1, false});
+  {
+    UnixStream stream = UnixStream::connect(socket_path);
+    // 2 MiB with no newline. The daemon stops reading at its cap and
+    // hangs up, so this send may end early with the peer gone: either
+    // outcome is fine, the events below are what the test checks.
+    const std::string junk(2 * UnixStream::kMaxLineBytes, 'x');
+    (void)stream.send_all(junk.data(), junk.size());
+    std::string line;
+    ASSERT_EQ(stream.read_line(line), UnixStream::ReadStatus::kLine);
+    const Json event = Json::parse(line);
+    EXPECT_EQ(event.at("event").as_string(), "error");
+    EXPECT_NE(event.at("error").as_string().find(
+                  std::to_string(UnixStream::kMaxLineBytes)),
+              std::string::npos)
+        << event.at("error").as_string();
+    EXPECT_EQ(stream.read_line(line), UnixStream::ReadStatus::kEof);
+  }
+  // The next client is served normally.
+  const QueryResult result = query(socket_path, kSpecText);
+  EXPECT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.csv, run_sweep(SweepSpec::parse(kSpecText), 1).to_csv());
+}
+
 TEST(ServeTest, BindRefusesALiveDaemonAndRecoversAStaleSocket) {
   const std::string socket_path = temp_name("stale.sock");
   {

@@ -1,6 +1,6 @@
 // The store's headline guarantee, tested the hard way: kill the writer
 // at every write boundary (deterministically, via FaultInjectingFile)
-// and at hundreds of randomized wall-clock points (via fork + SIGKILL),
+// and at hundreds of seeded commit counts (via fork + SIGKILL),
 // then prove that every record committed before the fault survives
 // byte-for-byte, nothing uncommitted surfaces, and a resumed writer
 // completes the store byte-identically to one that was never killed.
@@ -212,48 +212,100 @@ TEST(StoreFault, EnospcSurfacesAsConfigErrorWithTheStoreIntact) {
 // Randomized fork + SIGKILL
 // ---------------------------------------------------------------------
 
-/// The child's infinite writer loop: deterministic records forever,
-/// until SIGKILL lands somewhere inside a pwrite, between them, or
-/// before the store even exists.
-[[noreturn]] void writer_child(const std::string& path) {
+/// The child's writer: opens the store, waits for the parent's go byte
+/// on `go_fd`, then commits deterministic records forever, writing each
+/// committed index to `report_fd` after its put() returns — until
+/// SIGKILL lands somewhere inside a pwrite, between them, or (without a
+/// go byte) before the first record.
+[[noreturn]] void writer_child(const std::string& path, int go_fd,
+                               int report_fd) {
   try {
     ResultStore store(path, OpenOptions{.app_tag = kAppTag});
+    char go = 0;
+    if (::read(go_fd, &go, 1) != 1) {
+      ::_exit(4);
+    }
     for (std::uint64_t i = 0;; ++i) {
       const std::string payload = payload_for(i % 64);
       (void)store.put(key_for(i), payload.data(), payload.size());
+      if (::write(report_fd, &i, sizeof i) != sizeof i) {
+        ::_exit(5);
+      }
     }
   } catch (...) {
     ::_exit(3);  // only reachable on a real I/O error, not the kill
   }
 }
 
+/// Reads `count` commit reports from the child; false if it died first.
+[[nodiscard]] bool await_reports(int report_fd, int count) {
+  for (int i = 0; i < count; ++i) {
+    std::uint64_t index = 0;
+    std::size_t got = 0;
+    while (got < sizeof index) {
+      const ssize_t n = ::read(report_fd, reinterpret_cast<char*>(&index) + got,
+                               sizeof index - got);
+      if (n <= 0) {
+        return false;
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    if (index != static_cast<std::uint64_t>(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(StoreFault, RandomizedSigkillNeverLosesACommittedRecord) {
   constexpr int kIterations = 200;
-  // Fixed seed: failures reproduce. The randomness only moves the kill
-  // point around; correctness must hold wherever it lands.
+  // Fixed seed: failures reproduce. The kill lands after a seeded number
+  // k of commits the child has reported through a pipe, so what the
+  // crash image must hold does not depend on the scheduler. Every eighth
+  // iteration uses k = 0: the child is killed before its first put
+  // (while opening the store, or waiting for the go byte).
   std::mt19937_64 rng(0x5eedULL);
-  std::uniform_int_distribution<int> delay_us(0, 1500);
+  std::uniform_int_distribution<int> reports(1, 64);
 
   int recovered_with_records = 0;
+  int iterations_with_reports = 0;
   for (int iteration = 0; iteration < kIterations; ++iteration) {
+    const int k = iteration % 8 == 0 ? 0 : reports(rng);
+    iterations_with_reports += k >= 1 ? 1 : 0;
     const std::string path = temp_path("sigkill.hvcs");
+    int go[2];
+    int report[2];
+    ASSERT_EQ(::pipe(go), 0);
+    ASSERT_EQ(::pipe(report), 0);
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      writer_child(path);  // never returns
+      ::close(go[1]);
+      ::close(report[0]);
+      writer_child(path, go[0], report[1]);  // never returns
     }
-    ::usleep(static_cast<useconds_t>(delay_us(rng)));
+    ::close(go[0]);
+    ::close(report[1]);
+    const bool reported =
+        k == 0 ||
+        (::write(go[1], "g", 1) == 1 && await_reports(report[0], k));
+    // Kill and reap before any assertion, so a failure leaves no child.
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ::close(go[1]);
+    ::close(report[0]);
+    ASSERT_TRUE(reported) << "iteration " << iteration
+                          << ": child stopped reporting before " << k
+                          << " commits";
     ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
-        << "child exited on its own (status " << status
-        << ") — the kill landed too late to test anything";
+        << "child exited on its own (status " << status << ")";
 
-    // The kill may have landed before the file existed; that's a valid
+    // A k = 0 kill may land before the file exists; that's a valid
     // (trivial) crash image too.
     std::ifstream exists(path);
     if (!exists.good()) {
+      ASSERT_EQ(k, 0) << "iteration " << iteration;
       continue;
     }
     {
@@ -262,6 +314,9 @@ TEST(StoreFault, RandomizedSigkillNeverLosesACommittedRecord) {
       ResultStore store(path,
                         OpenOptions{.recover = true, .app_tag = kAppTag});
       const std::size_t committed = store.records();
+      // Every commit the child reported before the kill survives.
+      ASSERT_GE(committed, static_cast<std::size_t>(k))
+          << "iteration " << iteration;
       recovered_with_records += committed > 0 ? 1 : 0;
       for (std::uint64_t i = 0; i < committed; ++i) {
         const auto got = store.get(key_for(i));
@@ -281,9 +336,9 @@ TEST(StoreFault, RandomizedSigkillNeverLosesACommittedRecord) {
     EXPECT_EQ(ResultStore::fsck(path).status, FsckStatus::kClean);
     std::remove(path.c_str());
   }
-  // Sanity that the harness kills mid-stream, not always instantly: most
-  // iterations should have committed at least one record first.
-  EXPECT_GT(recovered_with_records, kIterations / 4);
+  // Exactly the iterations whose child reported a commit recover records:
+  // a k = 0 child never reaches its first put.
+  EXPECT_EQ(recovered_with_records, iterations_with_reports);
 }
 
 }  // namespace

@@ -116,6 +116,34 @@ TEST(TraceFile, WriterStatsMatchTracerStats) {
   EXPECT_EQ(writer.records_written(), workload.tracer.records().size());
 }
 
+TEST(TraceFile, RecordByRecordAppendMatchesOneBatch) {
+  // append() and append_batch() promise byte-identical files. Write one
+  // workload both ways — record by record through a 64-byte window, so
+  // flushes land mid-stream at other offsets, and as one append_batch
+  // call — and compare the bytes.
+  const wl::WorkloadResult workload =
+      wl::find_workload("epic_c").run(3, 1);
+  const std::vector<Record>& records = workload.tracer.records();
+  const std::string single = temp_path("append_single.hvct");
+  const std::string batch = temp_path("append_batch.hvct");
+  {
+    TraceWriter writer(single, /*buffer_bytes=*/64);
+    for (const Record& record : records) {
+      writer.append(record);
+    }
+    writer.finish();
+  }
+  {
+    TraceWriter writer(batch);
+    writer.append_batch(records.data(), records.size());
+    writer.finish();
+  }
+  const std::vector<char> a = slurp(single);
+  const std::vector<char> b = slurp(batch);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_TRUE(a == b) << "record-by-record and batch encodings differ";
+}
+
 TEST(TraceFile, TinyReadWindowDecodesIdentically) {
   // A 3-byte window forces refills inside varints — the reader must be
   // correct for any window size, not just ones that align with records.

@@ -12,8 +12,9 @@
 //   hvc_trace fsck <file> [--repair]
 //   hvc_trace replay <file> [--scenario A|B] [--design baseline|proposed]
 //                           [--mode hp|ule] [--cores N] [--system-seed S]
-//                           [--block-size N]
+//                           [--profile]
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,15 +48,12 @@ void print_usage(std::FILE* stream) {
       "      a valid footer\n"
       "  replay <file> [--scenario A|B] [--design baseline|proposed]\n"
       "                [--mode hp|ule] [--cores N] [--system-seed S]\n"
-      "                [--block-size N] [--profile]\n"
+      "                [--profile]\n"
       "      replay a recorded trace through a simulated chip and print\n"
       "      the timing/energy summary (cores > 1 replays the same trace\n"
-      "      on every core through the shared-level arbiter; --block-size\n"
-      "      sets how many records are pulled and stepped per batch —\n"
-      "      default 256, 1 forces the record-at-a-time scalar path;\n"
-      "      every block size prints bit-identical results; --profile\n"
+      "      on every core through the shared-level arbiter; --profile\n"
       "      additionally prints the replay's wall-time split between\n"
-      "      decode, access and retire phases — single-core only)\n"
+      "      decode, access and retire phases, at any core count)\n"
       "\n"
       "Replaying a recorded trace is bit-identical to the in-memory run\n"
       "that produced it: same energy categories, timing and level stats.\n");
@@ -204,10 +202,71 @@ int cmd_fsck(int argc, char** argv) {
   return 2;
 }
 
+using Clock = std::chrono::steady_clock;
+
+[[nodiscard]] double seconds_between(Clock::time_point a,
+                                     Clock::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
+}
+
+/// Wall-time split of one replay (--profile). Every core's source reports
+/// its pulls here: time inside a pull is decode (varint decode into the
+/// block), time between two consecutive pulls is the replay loop stepping
+/// records through the caches (access), and the rest of the run — reset,
+/// begin_run, counter clears and the finish_run roll-up — is retire.
+struct PhaseTimes {
+  double decode_s = 0.0;
+  double access_s = 0.0;
+  double total_s = 0.0;
+  std::uint64_t records = 0;
+  std::uint64_t blocks = 0;
+  bool pulled = false;
+  Clock::time_point last_pull_end;
+
+  [[nodiscard]] double retire_s() const noexcept {
+    return total_s - decode_s - access_s;
+  }
+};
+
+/// Forwards every call to `inner` unchanged and times its pulls into a
+/// PhaseTimes shared by all cores' sources, so the replay result is
+/// bit-identical to the untimed run at any core count.
+class TimedSource final : public hvc::trace::TraceSource {
+ public:
+  TimedSource(std::unique_ptr<hvc::trace::TraceSource> inner,
+              PhaseTimes& times)
+      : inner_(std::move(inner)), times_(times) {}
+
+  bool next(hvc::trace::Record& out) override {
+    return next_batch(&out, 1) == 1;
+  }
+  std::size_t next_batch(hvc::trace::Record* out, std::size_t max) override {
+    const Clock::time_point start = Clock::now();
+    if (times_.pulled) {
+      times_.access_s += seconds_between(times_.last_pull_end, start);
+    }
+    const std::size_t got = inner_->next_batch(out, max);
+    const Clock::time_point end = Clock::now();
+    times_.decode_s += seconds_between(start, end);
+    times_.last_pull_end = end;
+    times_.pulled = true;
+    times_.records += got;
+    times_.blocks += got > 0 ? 1 : 0;
+    return got;
+  }
+  [[nodiscard]] std::uint64_t size_hint() const noexcept override {
+    return inner_->size_hint();
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<hvc::trace::TraceSource> inner_;
+  PhaseTimes& times_;
+};
+
 int cmd_replay(int argc, char** argv) {
   std::string path;
   hvc::sim::SystemConfig config;
-  std::size_t block_records = hvc::trace::kReplayBlockRecords;
   bool profile = false;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
@@ -244,12 +303,6 @@ int cmd_replay(int argc, char** argv) {
     } else if (std::strcmp(arg, "--system-seed") == 0) {
       config.seed =
           parse_u64_arg("--system-seed", value_of(argc, argv, i));
-    } else if (std::strcmp(arg, "--block-size") == 0) {
-      block_records = static_cast<std::size_t>(
-          parse_u64_arg("--block-size", value_of(argc, argv, i)));
-      if (block_records == 0) {
-        throw std::runtime_error("--block-size must be >= 1");
-      }
     } else if (path.empty() && arg[0] != '-') {
       path = arg;
     } else {
@@ -260,23 +313,27 @@ int cmd_replay(int argc, char** argv) {
   if (path.empty()) {
     throw std::runtime_error("replay needs a <file>");
   }
-  if (profile && config.num_cores != 1) {
-    throw std::runtime_error("--profile is single-core only (the multicore "
-                             "interleaver has no per-phase split)");
-  }
 
   hvc::sim::System system(
       config, hvc::sim::cell_plan_for(config.design.scenario));
-  hvc::cpu::RunResult result;
-  hvc::cpu::ReplayProfile prof;
-  if (config.num_cores == 1) {
-    hvc::trace::TraceFileSource source(path);
-    result = profile
-                 ? system.run_trace_profiled(source, block_records, prof)
-                 : system.run_trace(source, block_records);
-  } else {
-    result = system.run_mix({"trace:" + path}, 1, 1, block_records).aggregate;
+  // One streaming reader per core, each with its own bounded window.
+  PhaseTimes times;
+  std::vector<std::unique_ptr<hvc::trace::TraceSource>> owned;
+  std::vector<hvc::trace::TraceSource*> sources;
+  for (std::size_t c = 0; c < config.num_cores; ++c) {
+    std::unique_ptr<hvc::trace::TraceSource> source =
+        std::make_unique<hvc::trace::TraceFileSource>(path);
+    if (profile) {
+      source = std::make_unique<TimedSource>(std::move(source), times);
+    }
+    sources.push_back(source.get());
+    owned.push_back(std::move(source));
   }
+  // A one-core mix is bit-identical to run_trace (test_multicore pins
+  // it), so every core count takes the interleaver.
+  const Clock::time_point start = Clock::now();
+  const hvc::cpu::RunResult result = system.run_mix_sources(sources).aggregate;
+  times.total_s = seconds_between(start, Clock::now());
 
   std::printf("replayed %s on %zu core(s), %s/%s, %s mode\n", path.c_str(),
               config.num_cores,
@@ -304,22 +361,22 @@ int cmd_replay(int argc, char** argv) {
                 hvc::format_number(level.hit_rate()).c_str());
   }
   if (profile) {
-    const double total = prof.total_s();
+    const double total = times.total_s;
     const auto pct = [total](double s) {
       return total > 0.0 ? 100.0 * s / total : 0.0;
     };
     const double rate = total > 0.0
-                            ? static_cast<double>(prof.records) / total / 1e6
+                            ? static_cast<double>(times.records) / total / 1e6
                             : 0.0;
     std::printf("  profile (%llu records, %llu blocks, %.1f Mrec/s)\n",
-                static_cast<unsigned long long>(prof.records),
-                static_cast<unsigned long long>(prof.blocks), rate);
-    std::printf("    decode   %10.6f s  (%5.1f%%)\n", prof.decode_s,
-                pct(prof.decode_s));
-    std::printf("    access   %10.6f s  (%5.1f%%)\n", prof.access_s,
-                pct(prof.access_s));
-    std::printf("    retire   %10.6f s  (%5.1f%%)\n", prof.retire_s,
-                pct(prof.retire_s));
+                static_cast<unsigned long long>(times.records),
+                static_cast<unsigned long long>(times.blocks), rate);
+    std::printf("    decode   %10.6f s  (%5.1f%%)\n", times.decode_s,
+                pct(times.decode_s));
+    std::printf("    access   %10.6f s  (%5.1f%%)\n", times.access_s,
+                pct(times.access_s));
+    std::printf("    retire   %10.6f s  (%5.1f%%)\n", times.retire_s(),
+                pct(times.retire_s()));
   }
   return 0;
 }
