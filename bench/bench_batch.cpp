@@ -100,7 +100,7 @@ void BM_CacheAccessBatch(benchmark::State& state) {
   cache::MainMemory memory;
   Rng rng(7);
   cache::CacheConfig config = shape_config(shape);
-  cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
   cache::Cache cache(config, terminal, rng);
   if (shape == kFaulty) {
     cache.set_mode(power::Mode::kUle);
@@ -144,7 +144,7 @@ void BM_CacheAccessScalar(benchmark::State& state) {
   cache::MainMemory memory;
   Rng rng(7);
   cache::CacheConfig config = shape_config(shape);
-  cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
   cache::Cache cache(config, terminal, rng);
   if (shape == kFaulty) {
     cache.set_mode(power::Mode::kUle);

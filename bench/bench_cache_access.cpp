@@ -42,8 +42,7 @@ using namespace hvc::bench;
 void BM_CacheAccess(benchmark::State& state) {
   cache::MainMemory memory;
   Rng rng(7);
-  cache::MainMemoryLevel terminal(memory,
-                                  coded_config().memory_latency_cycles);
+  cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
   cache::Cache cache(coded_config(), terminal, rng);
   const auto addrs = address_stream(4096);
   std::size_t i = 0;
@@ -66,7 +65,7 @@ void BM_CacheAccessUle(benchmark::State& state) {
   // Hard faults at the paper's sized-8T Pf: the fault map is consulted on
   // every ULE read.
   config.way_hard_pf.assign(8, 2e-4);
-  cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
   cache::Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   const auto addrs = address_stream(4096);
@@ -114,8 +113,7 @@ BENCHMARK(BM_CacheAccessL2);
 void BM_CacheScrub(benchmark::State& state) {
   cache::MainMemory memory;
   Rng rng(11);
-  cache::MainMemoryLevel terminal(memory,
-                                  coded_config().memory_latency_cycles);
+  cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
   cache::Cache cache(coded_config(), terminal, rng);
   // Warm the whole cache so the scrub walks every valid line.
   for (std::uint64_t addr = 0; addr < 8 * 1024; addr += 4) {

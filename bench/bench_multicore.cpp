@@ -61,9 +61,9 @@ BENCHMARK(BM_MulticoreStep)
 /// Raw arbitration cost: one begin_request + access + (per round)
 /// new_round per requester against an uncontended memory terminal —
 /// the per-record overhead the interleaver pays on top of the cache
-/// model itself. PR 8 devirtualized the queue-delay call (seam),
-/// precomputed the uncontended grant energy and made new_round O(1)
-/// (epoch-lazy reset), so this row tracks those wins in isolation.
+/// model itself: a one-subtraction single-port delay, a precomputed
+/// uncontended grant energy and an O(1) new_round (epoch-lazy reset).
+/// This row tracks that cost in isolation.
 void BM_ArbiterRound(benchmark::State& state) {
   const auto requesters = static_cast<std::size_t>(state.range(0));
   cache::MainMemory memory;

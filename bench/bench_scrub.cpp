@@ -72,7 +72,7 @@ void live_injection() {
     config.ways[7].ule_protection = edc::Protection::kSecded;
     cache::MainMemory memory;
     Rng rng(99);
-    cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+    cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
     cache::Cache cache(config, terminal, rng);
     cache.set_mode(power::Mode::kUle);
     for (std::uint64_t a = 0; a < 1024; a += 4) {
@@ -113,7 +113,7 @@ void BM_ScrubPass(benchmark::State& state) {
   config.ways[7].ule_protection = edc::Protection::kSecded;
   cache::MainMemory memory;
   Rng rng(1);
-  cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
   cache::Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   for (std::uint64_t a = 0; a < 1024; a += 4) {

@@ -68,7 +68,7 @@ int main() {
     cache::MainMemory memory;
     Rng rng(2024);
     const cache::CacheConfig config = demo_config(protection, kDemoPf);
-    cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+    cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
     cache::Cache cache(config, terminal, rng);
     cache.set_mode(power::Mode::kUle);
     const StreamResult result = stream_through(cache, memory);
@@ -86,7 +86,7 @@ int main() {
     cache::MainMemory memory;
     Rng rng(2024);
     const cache::CacheConfig config = demo_config(protection, 0.0);
-    cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+    cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
     cache::Cache cache(config, terminal, rng);
     cache.set_mode(power::Mode::kUle);
     memory.write_word(0x100, 0xCAFE);

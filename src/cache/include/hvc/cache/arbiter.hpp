@@ -2,89 +2,27 @@
 //
 // When several cores' private L1s miss into one shared level (the L2, or
 // the memory terminal of an L2-less chip), their requests contend for its
-// single port. ArbitratedLevel decorates any MemoryLevel with a pluggable
-// contention model: the multi-core interleaver (sim::System::run_mix)
-// declares the requesting core before each step and closes a round after
-// stepping every core once; within a round, a request queues behind the
-// occupancy other requesters have already claimed. The queueing delay is
-// composed into the level's latency returns — exactly like a deeper miss
-// — so L2 pressure lengthens stalls and shows up in cycles and EPI.
+// single port. ArbitratedLevel decorates any MemoryLevel with that port:
+// the multi-core interleaver (sim::System::run_mix) declares the
+// requesting core before each step and closes a round after stepping
+// every core once; within a round, a request waits out the service time
+// other requesters have already claimed. The queueing delay is composed
+// into the level's latency returns — exactly like a deeper miss — so L2
+// pressure lengthens stalls and shows up in cycles and EPI.
 //
-// Determinism: the model is a pure function of the request sequence (no
+// Determinism: the delay is a pure function of the request sequence (no
 // clocks, no randomness), so multi-core runs stay reproducible and the
 // explorer's any-thread-count byte-identity guarantee extends to them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hvc/cache/memory_level.hpp"
 #include "hvc/common/error.hpp"
 
 namespace hvc::cache {
-
-/// Pluggable contention model: converts the occupancy a request found in
-/// front of it into a queueing delay.
-class ArbitrationModel {
- public:
-  virtual ~ArbitrationModel() = default;
-
-  /// Delay (cycles) for a request that found `other_requests` requests
-  /// from other requesters already granted this round, together occupying
-  /// the level for `busy_cycles` of service time.
-  [[nodiscard]] virtual std::size_t queue_delay(
-      std::size_t other_requests, std::size_t busy_cycles) const = 0;
-
-  /// Devirtualization seam for the per-grant hot path (the multicore
-  /// interleaver grants once per shared-level request): a model whose
-  /// queue_delay is one of the closed forms below declares it, and
-  /// ArbitratedLevel::grant computes the delay inline instead of making
-  /// the virtual call. The closed form must be exactly queue_delay's
-  /// return — out-of-tree models keep the default and stay on the
-  /// virtual path, bit-identically.
-  enum class Seam {
-    kGeneric,     ///< call the virtual queue_delay
-    kSinglePort,  ///< delay == busy_cycles
-    kFree,        ///< delay == 0
-  };
-  [[nodiscard]] virtual Seam seam() const noexcept { return Seam::kGeneric; }
-};
-
-/// Single-ported level: a request waits out the full service time of every
-/// other requester granted before it in the round.
-class SinglePortArbitration final : public ArbitrationModel {
- public:
-  [[nodiscard]] std::size_t queue_delay(
-      std::size_t /*other_requests*/,
-      std::size_t busy_cycles) const override {
-    return busy_cycles;
-  }
-  [[nodiscard]] Seam seam() const noexcept override {
-    return Seam::kSinglePort;
-  }
-};
-
-/// Ideally multi-ported level: no contention (isolates the energy effect
-/// of sharing from the timing effect in sweeps).
-class FreeArbitration final : public ArbitrationModel {
- public:
-  [[nodiscard]] std::size_t queue_delay(std::size_t /*other_requests*/,
-                                        std::size_t /*busy_cycles*/)
-      const override {
-    return 0;
-  }
-  [[nodiscard]] Seam seam() const noexcept override { return Seam::kFree; }
-};
-
-/// Switched capacitance of the arbitration hardware itself (grant logic
-/// per request, request-buffer hold per queued cycle); charged at the
-/// current mode's Vcc and reported as the "contention.<level>" category.
-struct ArbiterEnergy {
-  double cap_per_grant_f = 2e-14;
-  double cap_per_queued_cycle_f = 5e-15;
-};
 
 /// Decorator serializing one shared MemoryLevel between N requesters.
 ///
@@ -97,10 +35,13 @@ struct ArbiterEnergy {
 /// convenience paths) are attributed to requester 0.
 class ArbitratedLevel final : public MemoryLevel {
  public:
-  ArbitratedLevel(MemoryLevel& inner, std::size_t requesters, double vcc,
-                  std::unique_ptr<ArbitrationModel> model =
-                      std::make_unique<SinglePortArbitration>(),
-                  ArbiterEnergy energy = {});
+  ArbitratedLevel(MemoryLevel& inner, std::size_t requesters, double vcc);
+
+  /// Switched capacitance of the arbitration hardware itself (grant logic
+  /// per request, request-buffer hold per queued cycle); charged at the
+  /// current mode's Vcc and reported as the "contention.<level>" category.
+  static constexpr double kCapPerGrantF = 2e-14;
+  static constexpr double kCapPerQueuedCycleF = 5e-15;
 
   /// Declares the requester of the next forwarded request(s). Called once
   /// per interleaver step — one record per core per round — so it is
@@ -116,7 +57,6 @@ class ArbitratedLevel final : public MemoryLevel {
   void new_round() noexcept {
     ++round_seq_;
     round_busy_total_ = 0;
-    round_requests_total_ = 0;
     round_opened_ = false;
   }
 
@@ -124,7 +64,7 @@ class ArbitratedLevel final : public MemoryLevel {
   /// switches by sim::System).
   void set_vcc(double vcc) noexcept {
     vcc_ = vcc;
-    uncontended_grant_j_ = energy_.cap_per_grant_f * vcc * vcc;
+    uncontended_grant_j_ = kCapPerGrantF * vcc * vcc;
   }
 
   [[nodiscard]] const std::string& level_name() const noexcept override {
@@ -180,22 +120,17 @@ class ArbitratedLevel final : public MemoryLevel {
   [[nodiscard]] MemoryLevel& inner() noexcept { return inner_; }
 
  private:
-  /// Applies the contention model to one granted request of `service`
-  /// cycles; returns the composed (queue + service) latency. The word
-  /// fallback path has no latency return to compose into, so it passes
-  /// `latency_applies = false`: the grant still occupies the round (and
-  /// counts), but no queueing delay is recorded or charged.
+  /// Queues one granted request of `service` cycles behind the round's
+  /// other requesters; returns the composed (queue + service) latency.
+  /// The word fallback path has no latency return to compose into, so it
+  /// passes `latency_applies = false`: the grant still occupies the round
+  /// (and counts), but no queueing delay is recorded or charged.
   [[nodiscard]] std::size_t grant(std::size_t service_cycles,
                                   bool latency_applies = true);
 
   MemoryLevel& inner_;
-  std::unique_ptr<ArbitrationModel> model_;
-  /// model_->seam(), resolved once at construction: the per-grant queue
-  /// delay of the built-in models is computed inline from it.
-  ArbitrationModel::Seam seam_ = ArbitrationModel::Seam::kGeneric;
-  ArbiterEnergy energy_;
   double vcc_;
-  /// Pre-resolved (cap_per_grant * vcc^2): the energy of a grant with
+  /// Pre-resolved (kCapPerGrantF * vcc^2): the energy of a grant with
   /// zero queued cycles. Bit-identical to evaluating the full expression
   /// with delay == 0 — the delay term multiplies to +0.0 and adding +0.0
   /// to the positive grant term is exact in IEEE arithmetic — so the hot
@@ -203,15 +138,13 @@ class ArbitratedLevel final : public MemoryLevel {
   /// keep the full expression verbatim.
   double uncontended_grant_j_ = 0.0;
   std::size_t current_ = 0;
-  /// Per-round occupancy: service cycles and request count per requester,
-  /// valid only where round_stamp_ matches round_seq_ (epoch-lazy reset:
-  /// new_round() bumps the sequence instead of clearing the arrays).
+  /// Per-round occupancy: service cycles per requester, valid only where
+  /// round_stamp_ matches round_seq_ (epoch-lazy reset: new_round() bumps
+  /// the sequence instead of clearing the arrays).
   std::vector<std::uint64_t> round_busy_;
-  std::vector<std::uint64_t> round_requests_;
   std::vector<std::uint64_t> round_stamp_;
   std::uint64_t round_seq_ = 0;
   std::uint64_t round_busy_total_ = 0;
-  std::uint64_t round_requests_total_ = 0;
   bool round_opened_ = false;  ///< a request was granted this round
   std::vector<std::uint64_t> grants_;
   std::vector<std::uint64_t> priority_grants_;

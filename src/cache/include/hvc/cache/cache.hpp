@@ -3,8 +3,9 @@
 // This is the paper's proposed architecture (Figure 1) as an executable
 // model: heterogeneous ways (6T HP ways, 8T/10T ULE ways), per-mode EDC
 // (none/SECDED/DECTED) on 32-bit data words and 26-bit tags, gated-Vdd way
-// shutdown at ULE mode, and bit-level hard/soft fault injection so the EDC
-// datapath is exercised end to end.
+// shutdown at ULE mode, true LRU replacement over the active ways of a
+// set, and bit-level hard/soft fault injection so the EDC datapath is
+// exercised end to end.
 //
 // Every tag and data word is stored as its real codeword bits. Reads pull
 // the raw bits through the fault map, decode them, and report corrections;
@@ -22,7 +23,6 @@
 #include "hvc/cache/fault.hpp"
 #include "hvc/cache/memory.hpp"
 #include "hvc/cache/memory_level.hpp"
-#include "hvc/cache/replacement.hpp"
 #include "hvc/common/rng.hpp"
 #include "hvc/common/stats.hpp"
 #include "hvc/power/cache_power.hpp"
@@ -59,9 +59,7 @@ struct CacheConfig {
   power::CacheOrg org;
   std::vector<power::WayPlan> ways;
   WritePolicy write_policy = WritePolicy::kWriteBackAllocate;
-  ReplacementKind replacement = ReplacementKind::kLru;
   std::size_t hit_latency_cycles = 1;
-  std::size_t memory_latency_cycles = 20;  // paper IV-A
   /// Extra encode/decode pipeline latency when EDC is active (paper IV-A3:
   /// one clock cycle).
   std::size_t edc_latency_cycles = 1;
@@ -100,8 +98,7 @@ class Cache : public MemoryLevel {
  public:
   /// Builds a cache that misses into an arbitrary next level (another
   /// Cache, or a MainMemoryLevel terminal). The next level must outlive
-  /// this cache. `config.memory_latency_cycles` is ignored on this path:
-  /// miss latency is whatever the next level reports per request.
+  /// this cache; miss latency is whatever it reports per request.
   Cache(CacheConfig config, MemoryLevel& next_level, Rng& rng);
 
   /// Performs one access at the current mode. Functionally exact: loads
@@ -313,6 +310,13 @@ class Cache : public MemoryLevel {
     energy_j_[category] += joules;
   }
 
+  /// Marks (set, way) as the set's most recently used line. Called on
+  /// every hit and fill; fill_line evicts the active way with the
+  /// smallest stamp.
+  void touch(std::size_t set, std::size_t way) noexcept {
+    lru_stamps_[set * config_.org.ways + way] = ++lru_clock_;
+  }
+
   /// Per-mode constants the batch path hoists out of the per-record loop:
   /// geometry (divisions/modulos pre-reduced to shifts/masks when the
   /// organisation is power-of-two), energy handles, per-way codec and
@@ -350,8 +354,6 @@ class Cache : public MemoryLevel {
       double edc_decode = 0.0;
     };
     std::vector<WayCtx> way;
-    /// LRU stamp seam (nullptr stamps => virtual policy_->touch()).
-    ReplacementPolicy::TouchSeam lru;
     /// Raw view of the owning cache's probe-key rows (sets * probe_stride,
     /// row-major, sentinel-padded — see probe_keys_ below): the hit probe
     /// compares one row against the probed line address instead of
@@ -388,7 +390,11 @@ class Cache : public MemoryLevel {
   MemoryLevel* next_level_;
   power::Mode mode_ = power::Mode::kHp;
   std::vector<Way> ways_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  /// True-LRU recency: one stamp per (set, way), row-major by set. The
+  /// clock counts touches, so a larger stamp is a more recent use and a
+  /// never-touched way keeps stamp 0.
+  std::vector<std::uint64_t> lru_stamps_;
+  std::uint64_t lru_clock_ = 0;
   std::unique_ptr<power::CacheEnergyModel> hp_model_;
   std::unique_ptr<power::CacheEnergyModel> ule_model_;
   CacheStats stats_;
@@ -497,13 +503,7 @@ inline void Cache::access_batched(std::uint64_t addr, AccessType type,
   hit = true;
   latency_cycles = static_cast<std::uint32_t>(ctx.hit_latency);
   ++stats_.hits;
-  if (ctx.lru.stamps != nullptr) {
-    // The seam store is exactly LruPolicy::touch with the range checks
-    // proven by construction (set/way come from the probe).
-    ctx.lru.stamps[set * ctx.ways + hit_way] = ++*ctx.lru.clock;
-  } else if (!ctx.lru.noop) {
-    policy_->touch(set, hit_way);
-  }
+  touch(set, hit_way);
 
   const BatchCtx::WayCtx& wc = ctx.way[hit_way];
   const std::size_t word = static_cast<std::size_t>(

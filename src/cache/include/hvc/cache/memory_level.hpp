@@ -133,6 +133,10 @@ class MemoryLevel {
   virtual void clear_level_counters() = 0;
 };
 
+/// Main-memory access latency of the paper's chip in cycles (Section
+/// IV-A); sim::System's default for the memory terminal.
+inline constexpr std::size_t kPaperMemoryLatencyCycles = 20;
+
 /// Main memory wrapped as the terminal level of a hierarchy chain: fixed
 /// access latency, no energy model (the paper accounts memory energy in
 /// the core model), and no mode/scrub behaviour.

@@ -1,54 +1,33 @@
 #include "hvc/cache/arbiter.hpp"
 
-#include <utility>
-
 #include "hvc/common/error.hpp"
 
 namespace hvc::cache {
 
 ArbitratedLevel::ArbitratedLevel(MemoryLevel& inner, std::size_t requesters,
-                                 double vcc,
-                                 std::unique_ptr<ArbitrationModel> model,
-                                 ArbiterEnergy energy)
-    : inner_(inner), model_(std::move(model)), energy_(energy), vcc_(vcc),
-      round_busy_(requesters, 0), round_requests_(requesters, 0),
-      round_stamp_(requesters, 0),
+                                 double vcc)
+    : inner_(inner), vcc_(vcc),
+      round_busy_(requesters, 0), round_stamp_(requesters, 0),
       grants_(requesters, 0), priority_grants_(requesters, 0) {
   expects(requesters >= 1, "arbiter needs at least one requester");
-  expects(model_ != nullptr, "arbiter needs an arbitration model");
-  seam_ = model_->seam();
-  uncontended_grant_j_ = energy_.cap_per_grant_f * vcc_ * vcc_;
+  uncontended_grant_j_ = kCapPerGrantF * vcc_ * vcc_;
 }
 
 std::size_t ArbitratedLevel::grant(std::size_t service_cycles,
                                    bool latency_applies) {
   // Epoch-lazy round reset: refresh this requester's occupancy BEFORE
-  // reading it — a stale entry still holds last round's values and the
-  // other_* subtraction below must see zero for it.
+  // reading it — a stale entry still holds last round's value and the
+  // subtraction below must see zero for it.
   if (round_stamp_[current_] != round_seq_) {
     round_stamp_[current_] = round_seq_;
     round_busy_[current_] = 0;
-    round_requests_[current_] = 0;
   }
-  const std::uint64_t other_busy =
-      round_busy_total_ - round_busy_[current_];
-  std::size_t delay = 0;
-  if (latency_applies) {
-    switch (seam_) {
-      case ArbitrationModel::Seam::kSinglePort:
-        delay = static_cast<std::size_t>(other_busy);
-        break;
-      case ArbitrationModel::Seam::kFree:
-        break;
-      case ArbitrationModel::Seam::kGeneric: {
-        const std::uint64_t other_requests =
-            round_requests_total_ - round_requests_[current_];
-        delay = model_->queue_delay(static_cast<std::size_t>(other_requests),
-                                    static_cast<std::size_t>(other_busy));
-        break;
-      }
-    }
-  }
+  // Single port: the request waits out the full service time of every
+  // other requester granted before it in the round.
+  const std::size_t delay =
+      latency_applies ? static_cast<std::size_t>(round_busy_total_ -
+                                                 round_busy_[current_])
+                      : 0;
 
   ++grants_[current_];
   if (!round_opened_) {
@@ -59,15 +38,12 @@ std::size_t ArbitratedLevel::grant(std::size_t service_cycles,
   }
   round_busy_[current_] += service_cycles;
   round_busy_total_ += service_cycles;
-  ++round_requests_[current_];
-  ++round_requests_total_;
 
   if (delay > 0) {
     ++contended_requests_;
     contention_cycles_ += delay;
     arbitration_energy_j_ +=
-        (energy_.cap_per_grant_f +
-         energy_.cap_per_queued_cycle_f * static_cast<double>(delay)) *
+        (kCapPerGrantF + kCapPerQueuedCycleF * static_cast<double>(delay)) *
         vcc_ * vcc_;
   } else {
     // delay == 0 collapses the expression above to exactly the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "hvc/common/error.hpp"
 
@@ -39,8 +40,7 @@ void Cache::init() {
 
   const std::size_t sets = config_.org.sets();
   const std::size_t wpl = config_.org.words_per_line();
-  policy_ = make_policy(config_.replacement, sets, config_.org.ways,
-                        config_.fault_seed ^ 0x9E37);
+  lru_stamps_.assign(sets * config_.org.ways, 0);
 
   Rng fault_rng(config_.fault_seed);
   ways_.resize(config_.org.ways);
@@ -275,9 +275,10 @@ void Cache::writeback_line(std::size_t w, std::size_t set) {
 std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
                              AccessResult& result,
                              const std::uint32_t* incoming) {
-  // Victim selection among active ways: invalid first, then policy.
+  // Victim among the active ways: the first invalid one, else the least
+  // recently used (the first smallest stamp in way order).
   std::size_t victim = config_.org.ways;
-  std::vector<std::size_t> candidates;
+  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
     if (!way_active(w)) {
       continue;
@@ -286,11 +287,14 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
       victim = w;
       break;
     }
-    candidates.push_back(w);
+    const std::uint64_t stamp = lru_stamps_[set * config_.org.ways + w];
+    if (stamp < oldest) {
+      oldest = stamp;
+      victim = w;
+    }
   }
   if (victim == config_.org.ways) {
-    ensure(!candidates.empty(), "no active way available for fill");
-    victim = policy_->victim(set, candidates);
+    throw InvariantError("no active way available for fill");
   }
 
   Line& line = ways_[victim].lines[set];
@@ -325,7 +329,7 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
   charge(kEnergyEdc, static_cast<double>(config_.org.words_per_line() + 1) *
                    model.edc_encode_energy(victim));
   ++stats_.fills;
-  policy_->touch(set, victim);
+  touch(set, victim);
   return victim;
 }
 
@@ -354,7 +358,7 @@ AccessResult Cache::access(std::uint64_t addr, AccessType type,
     result.hit = true;
     result.way = hit_way;
     ++stats_.hits;
-    policy_->touch(set, hit_way);
+    touch(set, hit_way);
     if (type == AccessType::kStore) {
       write_data_word(hit_way, set, word, store_value);
       charge(kEnergyDynamic, model.word_write_energy(hit_way));
@@ -452,7 +456,6 @@ void Cache::rebuild_batch_ctx() {
     wc.edc_encode = model.edc_encode_energy(w);
     wc.edc_decode = model.edc_decode_energy(w);
   }
-  ctx.lru = policy_->touch_seam();
   ctx.probe_keys = probe_keys_.data();
   ctx.probe_stride = probe_stride_;
   ctx.mru_way.assign(sets, 0);
@@ -744,7 +747,7 @@ std::size_t Cache::fetch_block(std::uint64_t addr, std::uint32_t* out,
   std::size_t w = find_way(line_addr, set, scratch);
   if (w != config_.org.ways) {
     ++stats_.hits;
-    policy_->touch(set, w);
+    touch(set, w);
   } else {
     ++stats_.misses;
     scratch.latency_cycles = 0;
@@ -809,7 +812,7 @@ std::size_t Cache::writeback_block(std::uint64_t addr,
     }
   } else {
     ++stats_.hits;
-    policy_->touch(set, w);
+    touch(set, w);
   }
 
   const auto& model = energy_model();

@@ -26,6 +26,11 @@
 // gets an error event naming the cap, and then the daemon closes the
 // connection.
 //
+// Connections: each client is served on its own thread. The accept loop
+// joins the threads of connections that have ended before it starts a
+// new one, so a long-lived daemon holds threads (and their stacks) only
+// for live clients, not for every client it ever accepted.
+//
 // Shutdown: request_stop() is async-signal-safe (it only writes one
 // byte to a self-pipe). The accept loop wakes, in-flight queries are
 // cancelled (clients get an error event), connection threads are
@@ -34,13 +39,14 @@
 // removed.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "hvc/common/socket.hpp"
 
@@ -84,8 +90,16 @@ class Service {
   void wait_ready();
 
  private:
+  /// One client's thread; it sets `done` as its last act.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void serve_connection(UnixStream stream);
   void handle_request(UnixStream& stream, const std::string& line);
+  /// Joins and drops every connection whose thread has finished.
+  void reap_finished_connections();
 
   ServeOptions options_;
   WakePipe stop_pipe_;
@@ -96,7 +110,9 @@ class Service {
   std::condition_variable ready_;
   bool bound_ = false;
   bool finished_ = false;
-  std::vector<std::thread> connections_;
+  /// Touched only by run()'s thread. A list, so each thread's `done`
+  /// flag keeps its address while other entries come and go.
+  std::list<Connection> connections_;
 };
 
 /// The `hvc_explore serve` entry point: installs SIGTERM/SIGINT

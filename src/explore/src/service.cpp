@@ -153,23 +153,23 @@ void Service::run() {
       if (!client) {
         break;  // shutdown requested
       }
-      std::lock_guard<std::mutex> lock(mutex_);
-      connections_.emplace_back(&Service::serve_connection, this,
-                                std::move(*client));
+      reap_finished_connections();
+      Connection& connection = connections_.emplace_back();
+      connection.thread = std::thread(
+          [this, &connection, stream = std::move(*client)]() mutable {
+            serve_connection(std::move(stream));
+            connection.done = true;
+          });
     }
 
     // Shutdown, in dependency order: abort queries so connection
     // threads unblock, join them, THEN close the store cleanly — no
     // thread can touch it afterwards, so fsck reports exit 0.
     executor_->cancel();
-    std::vector<std::thread> connections;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      connections.swap(connections_);
+    for (Connection& connection : connections_) {
+      connection.thread.join();
     }
-    for (std::thread& connection : connections) {
-      connection.join();
-    }
+    connections_.clear();
     if (store_) {
       store_->close();
       store_.reset();  // releases the flock too: fsck can run right away
@@ -184,6 +184,17 @@ void Service::run() {
   std::lock_guard<std::mutex> lock(mutex_);
   finished_ = true;
   ready_.notify_all();
+}
+
+void Service::reap_finished_connections() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Service::serve_connection(UnixStream stream) {

@@ -46,7 +46,7 @@ struct L2Spec {
   std::size_t hit_latency_cycles = 4;
   /// L2-miss penalty to main memory (replaces the L1's flat memory
   /// latency, which only applies to the two-level shape).
-  std::size_t memory_latency_cycles = 20;
+  std::size_t memory_latency_cycles = cache::kPaperMemoryLatencyCycles;
 };
 
 /// Shape of the memory hierarchy below the L1s. Default: the paper's
@@ -58,26 +58,13 @@ struct HierarchySpec {
   [[nodiscard]] bool has_l2() const noexcept { return l2.has_value(); }
 };
 
-/// Contention model for the shared level of a multi-core chip (the L2
-/// when present, otherwise the memory terminal the private L1s share).
-enum class ArbitrationKind {
-  kSinglePort,  ///< requests queue behind other cores' service time
-  kFree,        ///< ideally multi-ported: sharing costs no cycles
-};
-
-struct ArbitrationSpec {
-  ArbitrationKind kind = ArbitrationKind::kSinglePort;
-  cache::ArbiterEnergy energy;
-};
-
 struct SystemConfig {
   DesignChoice design;
   HierarchySpec hierarchy;
   /// Cores on the chip, each with private IL1/DL1. 1 = the paper's chip,
   /// bit-identical to the pre-multicore model; > 1 shares the deepest
-  /// levels behind a round-robin arbiter.
+  /// levels behind a round-robin, single-port arbiter.
   std::size_t num_cores = 1;
-  ArbitrationSpec arbitration;
   power::Mode mode = power::Mode::kHp;
   power::CacheOrg org;            ///< defaults: 8KB 8-way 32B lines
   std::size_t ule_ways = 1;       ///< paper: 7+1
@@ -85,7 +72,7 @@ struct SystemConfig {
   power::OperatingPoint ule{power::Mode::kUle, 0.35, 5e6};
   cpu::CoreParams core;
   cache::WritePolicy write_policy = cache::WritePolicy::kWriteBackAllocate;
-  std::size_t memory_latency_cycles = 20;  ///< paper IV-A
+  std::size_t memory_latency_cycles = cache::kPaperMemoryLatencyCycles;
   bool inject_hard_faults = true;
   std::uint64_t seed = 42;
 };

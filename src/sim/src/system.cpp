@@ -13,14 +13,6 @@ namespace hvc::sim {
 
 namespace {
 
-[[nodiscard]] std::unique_ptr<cache::ArbitrationModel> make_arbitration(
-    ArbitrationKind kind) {
-  if (kind == ArbitrationKind::kFree) {
-    return std::make_unique<cache::FreeArbitration>();
-  }
-  return std::make_unique<cache::SinglePortArbitration>();
-}
-
 void accumulate_cache_stats(cache::CacheStats& into,
                             const cache::CacheStats& from) {
   into.accesses += from.accesses;
@@ -114,7 +106,6 @@ System::System(const SystemConfig& config, const yield::CacheCellPlan& cells)
     cc.way_hard_pf = l2_plan.way_hard_pf;
     cc.write_policy = config_.write_policy;
     cc.hit_latency_cycles = l2.hit_latency_cycles;
-    cc.memory_latency_cycles = l2.memory_latency_cycles;
     cc.hp = config_.hp;
     cc.ule = config_.ule;
     cc.fault_seed = config_.seed ^ 0x22;
@@ -132,9 +123,7 @@ System::System(const SystemConfig& config, const yield::CacheCellPlan& cells)
     cache::MemoryLevel& front =
         l2_ ? static_cast<cache::MemoryLevel&>(*l2_) : *memory_level_;
     arbiter_ = std::make_unique<cache::ArbitratedLevel>(
-        front, config_.num_cores, op.vcc,
-        make_arbitration(config_.arbitration.kind),
-        config_.arbitration.energy);
+        front, config_.num_cores, op.vcc);
   }
 
   const CachePlan plan =
@@ -148,7 +137,6 @@ System::System(const SystemConfig& config, const yield::CacheCellPlan& cells)
     cc.ways = plan.ways;
     cc.way_hard_pf = plan.way_hard_pf;
     cc.write_policy = config_.write_policy;
-    cc.memory_latency_cycles = config_.memory_latency_cycles;
     cc.hp = config_.hp;
     cc.ule = config_.ule;
     cc.fault_seed = config_.seed ^ salt;

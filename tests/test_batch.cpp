@@ -118,8 +118,8 @@ void run_differential(const cache::CacheConfig& config, power::Mode mode,
                       power::Mode switch_mode = power::Mode::kHp) {
   cache::MainMemory mem_a, mem_b;
   Rng rng_a(7), rng_b(7);
-  cache::MainMemoryLevel term_a(mem_a, config.memory_latency_cycles);
-  cache::MainMemoryLevel term_b(mem_b, config.memory_latency_cycles);
+  cache::MainMemoryLevel term_a(mem_a, cache::kPaperMemoryLatencyCycles);
+  cache::MainMemoryLevel term_b(mem_b, cache::kPaperMemoryLatencyCycles);
   cache::Cache reference(config, term_a, rng_a);
   cache::Cache batched(config, term_b, rng_b);
   reference.set_mode(mode);

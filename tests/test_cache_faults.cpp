@@ -88,7 +88,7 @@ TEST(CacheFaults, SecdedCorrectsHardFaultsEndToEnd) {
   MainMemory memory;
   Rng rng(7);
   const CacheConfig config = faulty_config(3e-3, edc::Protection::kSecded);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
 
@@ -115,7 +115,7 @@ TEST(CacheFaults, UnprotectedSmallCellsCorruptData) {
   MainMemory memory;
   Rng rng(7);  // same seed: same fault map as the protected run
   const CacheConfig config = faulty_config(3e-3, edc::Protection::kNone);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
 
@@ -137,7 +137,7 @@ TEST(CacheFaults, FaultsDormantAtHp) {
   MainMemory memory;
   Rng rng(8);
   const CacheConfig config = faulty_config(5e-3, edc::Protection::kNone);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   // HP mode: all ways active, faults never applied.
   for (std::uint64_t a = 0; a < 4096; a += 4) {
@@ -154,7 +154,7 @@ TEST(CacheFaults, InjectedSoftErrorCorrected) {
   MainMemory memory;
   Rng rng(9);
   const CacheConfig config = faulty_config(0.0, edc::Protection::kSecded);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   memory.write_word(0x100, 1234);
@@ -172,7 +172,7 @@ TEST(CacheFaults, DoubleSoftErrorDetectedNotMiscorrected) {
   MainMemory memory;
   Rng rng(10);
   const CacheConfig config = faulty_config(0.0, edc::Protection::kSecded);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   memory.write_word(0x100, 0xFEED);
@@ -191,7 +191,7 @@ TEST(CacheFaults, DectedCorrectsDoubleError) {
   MainMemory memory;
   Rng rng(11);
   const CacheConfig config = faulty_config(0.0, edc::Protection::kDected);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   memory.write_word(0x100, 0xBEEF);
@@ -208,7 +208,7 @@ TEST(CacheFaults, SoftErrorProcessIntegration) {
   MainMemory memory;
   Rng rng(12);
   const CacheConfig config = faulty_config(0.0, edc::Protection::kSecded);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   // ~12 expected flips over the way: well within one correction per word
@@ -235,8 +235,8 @@ TEST(CacheFaults, DeterministicFaultMapPerSeed) {
   MainMemory m1, m2;
   Rng r1(13), r2(13);
   const CacheConfig config = faulty_config(1e-3, edc::Protection::kSecded);
-  MainMemoryLevel t1(m1, config.memory_latency_cycles);
-  MainMemoryLevel t2(m2, config.memory_latency_cycles);
+  MainMemoryLevel t1(m1, kPaperMemoryLatencyCycles);
+  MainMemoryLevel t2(m2, kPaperMemoryLatencyCycles);
   Cache c1(config, t1, r1);
   Cache c2(config, t2, r2);
   c1.set_mode(power::Mode::kUle);

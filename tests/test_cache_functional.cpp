@@ -31,7 +31,7 @@ class CacheFunctional : public ::testing::Test {
  protected:
   CacheFunctional()
       : rng_(1),
-        terminal_(memory_, small_config().memory_latency_cycles),
+        terminal_(memory_, kPaperMemoryLatencyCycles),
         cache_(small_config(), terminal_, rng_) {}
   MainMemory memory_;
   Rng rng_;
@@ -45,7 +45,7 @@ TEST_F(CacheFunctional, ColdMissThenHit) {
   EXPECT_FALSE(miss.hit);
   EXPECT_EQ(miss.data, 77u);
   EXPECT_EQ(miss.latency_cycles,
-            cache_.hit_latency() + cache_.config().memory_latency_cycles);
+            cache_.hit_latency() + kPaperMemoryLatencyCycles);
   const auto hit = cache_.access(0x100, AccessType::kLoad);
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.data, 77u);
@@ -143,7 +143,7 @@ TEST(CacheWriteThrough, StoreUpdatesMemoryImmediately) {
   MainMemory memory;
   Rng rng(2);
   const CacheConfig config = small_config(WritePolicy::kWriteThroughNoAllocate);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   (void)cache.access(0x500, AccessType::kLoad);       // allocate line
   (void)cache.access(0x500, AccessType::kStore, 123);  // hit
@@ -160,7 +160,7 @@ TEST(CacheWriteThrough, StoreUpdatesMemoryImmediately) {
 TEST(CacheConfigTest, Validation) {
   MainMemory memory;
   Rng rng(3);
-  MainMemoryLevel terminal(memory, small_config().memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   CacheConfig config = small_config();
   config.ways.pop_back();
   EXPECT_THROW(Cache(config, terminal, rng), PreconditionError);
@@ -172,7 +172,7 @@ TEST(CacheConfigTest, Validation) {
 TEST(CacheAliasing, TagDisambiguation) {
   MainMemory memory;
   Rng rng(4);
-  MainMemoryLevel terminal(memory, small_config().memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(small_config(), terminal, rng);
   // Two addresses mapping to the same set with different tags.
   const std::uint64_t a = 0x0000;
@@ -188,7 +188,7 @@ TEST(CacheAliasing, TagDisambiguation) {
 TEST(CacheIfetch, CountsSeparately) {
   MainMemory memory;
   Rng rng(5);
-  MainMemoryLevel terminal(memory, small_config().memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(small_config(), terminal, rng);
   (void)cache.access(0x40, AccessType::kIfetch);
   (void)cache.access(0x44, AccessType::kIfetch);

@@ -29,7 +29,7 @@ TEST(CacheModes, StartsInHp) {
   MainMemory memory;
   Rng rng(1);
   const CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   EXPECT_EQ(cache.mode(), power::Mode::kHp);
   // No EDC at HP in scenario A: base hit latency.
@@ -40,7 +40,7 @@ TEST(CacheModes, UleAddsEdcCycle) {
   MainMemory memory;
   Rng rng(2);
   const CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   EXPECT_EQ(cache.hit_latency(), cache.config().hit_latency_cycles +
@@ -51,7 +51,7 @@ TEST(CacheModes, BaselineHasNoEdcCycleAtUle) {
   MainMemory memory;
   Rng rng(3);
   const CacheConfig config = paper_config(false);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   EXPECT_EQ(cache.hit_latency(), cache.config().hit_latency_cycles);
@@ -61,7 +61,7 @@ TEST(CacheModes, HpWaysDrainedOnUleEntry) {
   MainMemory memory;
   Rng rng(4);
   const CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   // Dirty a line that lands in an HP way (fill all 8 ways of set 0).
   const std::uint64_t stride = 32 * 32;  // sets * line_bytes
@@ -85,7 +85,7 @@ TEST(CacheModes, UleWayContentSurvivesSwitch) {
   Rng rng(5);
   CacheConfig config = paper_config();
   config.way_hard_pf.assign(8, 0.0);  // fault-free for this test
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
 
   // Fill set 0 so the last fill lands in the ULE way... simpler: store to
@@ -109,7 +109,7 @@ TEST(CacheModes, DirtyUleLineSurvivesRoundTrip) {
   MainMemory memory;
   Rng rng(6);
   CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   (void)cache.access(0x80, AccessType::kStore, 777);
@@ -125,7 +125,7 @@ TEST(CacheModes, OnlyUleWayFilledAtUle) {
   MainMemory memory;
   Rng rng(7);
   const CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   for (std::uint64_t a = 0; a < 4096; a += 32) {
@@ -140,7 +140,7 @@ TEST(CacheModes, UleCapacityIsOneWay) {
   MainMemory memory;
   Rng rng(8);
   const CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   // Touch exactly 1KB: second pass must fully hit.
@@ -158,7 +158,7 @@ TEST(CacheModes, ModeSwitchIsIdempotent) {
   MainMemory memory;
   Rng rng(9);
   const CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   const auto stats_before = cache.stats().mode_switch_writebacks;
@@ -170,7 +170,7 @@ TEST(CacheModes, LeakageDropsAtUle) {
   MainMemory memory;
   Rng rng(10);
   const CacheConfig config = paper_config();
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   const double hp_leak = cache.leakage_power();
   cache.set_mode(power::Mode::kUle);
@@ -185,7 +185,7 @@ TEST(CacheModes, ScenarioBKeepsSecdedLatencyAtHp) {
     way.hp_protection = edc::Protection::kSecded;
   }
   config.ways[7].ule_protection = edc::Protection::kDected;
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   EXPECT_EQ(cache.hit_latency(), config.hit_latency_cycles +
                                      config.edc_latency_cycles);

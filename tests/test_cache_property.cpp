@@ -52,7 +52,7 @@ TEST_P(CacheGolden, LoadsMatchFlatMemoryModel) {
   MainMemory memory;
   Rng rng(99);
   const CacheConfig config = make_config(geometry, policy);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(mode);
 
@@ -89,7 +89,7 @@ TEST_P(CacheGolden, StatsInvariants) {
   MainMemory memory;
   Rng rng(5);
   const CacheConfig config = make_config(geometry, policy);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(mode);
   Rng ops(77);
@@ -129,7 +129,7 @@ TEST(CacheOrganisations, FullyAssociativeSingleSet) {
   Rng rng(6);
   const CacheConfig config =
       make_config(geometry, WritePolicy::kWriteBackAllocate);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   EXPECT_EQ(cache.config().org.sets(), 1u);
   // Eight distinct lines all fit regardless of address bits.
@@ -161,7 +161,7 @@ TEST(CacheOrganisations, DirectMappedUleWay) {
   config.ways[0].ule_protection = edc::Protection::kSecded;
   MainMemory memory;
   Rng rng(7);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   memory.write_word(0, 1);

@@ -27,7 +27,7 @@ namespace {
 struct TestSystem {
   explicit TestSystem(bool edc_at_ule, power::Mode mode = power::Mode::kHp)
       : rng(1),
-        terminal(memory, cache_config(edc_at_ule).memory_latency_cycles),
+        terminal(memory, cache::kPaperMemoryLatencyCycles),
         il1(cache_config(edc_at_ule), terminal, rng),
         dl1(cache_config(edc_at_ule), terminal, rng) {
     il1.set_mode(mode);

@@ -56,7 +56,7 @@ TEST(ScrubAtHp, ScenarioBScrubsAllWays) {
   config.ways[7].ule_protection = edc::Protection::kDected;
   cache::MainMemory memory;
   Rng rng(33);
-  cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  cache::MainMemoryLevel terminal(memory, cache::kPaperMemoryLatencyCycles);
   cache::Cache cache(config, terminal, rng);
 
   for (std::uint64_t a = 0; a < 8192; a += 4) {

@@ -1,6 +1,6 @@
 // Multi-core simulation layer: the differential pin that one-core runs
 // are bit-identical to the single-core model, traffic identities through
-// the shared L2, the 2-core HP<->ULE drain, and the arbitration model's
+// the shared L2, the 2-core HP<->ULE drain, and the single-port arbiter's
 // contention properties.
 #include <gtest/gtest.h>
 
@@ -164,26 +164,6 @@ TEST(Multicore, SharedL2SeesContentionAndChargesArbitrationEnergy) {
   // The breakdown still sums to the aggregate EPI with the new category.
   EXPECT_NEAR(epi.total(), mix.aggregate.epi(),
               1e-12 * std::max(1.0, mix.aggregate.epi()));
-}
-
-TEST(Multicore, ContentionLengthensSlowestCoreVsFreeArbitration) {
-  // Same mix under single-port vs ideal arbitration: queueing can only
-  // add cycles, and must add some on a 4-core BigBench mix.
-  SystemConfig config =
-      base_config(yield::Scenario::kA, false, power::Mode::kHp, 4, true);
-  config.arbitration.kind = ArbitrationKind::kSinglePort;
-  System contended(config, cell_plan_for(config.design.scenario));
-  config.arbitration.kind = ArbitrationKind::kFree;
-  System free_ported(config, cell_plan_for(config.design.scenario));
-
-  const std::vector<std::string> mix{"gsm_c", "g721_c", "mpeg2_c", "gsm_d"};
-  const MulticoreResult with = contended.run_mix(mix);
-  const MulticoreResult without = free_ported.run_mix(mix);
-  EXPECT_GT(with.aggregate.cycles, without.aggregate.cycles);
-  for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_GE(with.per_core[c].cycles, without.per_core[c].cycles) << c;
-  }
-  EXPECT_EQ(without.aggregate.level("L2")->contention_cycles, 0u);
 }
 
 TEST(Multicore, UnbalancedMixChargesIdleCoreLeakageToTheChipTotal) {
@@ -379,19 +359,6 @@ TEST(ArbitrationProperty, GrantCountsUnderUniformSystemDemandDifferByAtMostOne) 
   const auto [lo, hi] = std::minmax_element(grants.begin(), grants.end());
   EXPECT_GT(*lo, 0u);
   EXPECT_LE(*hi - *lo, 1u);
-}
-
-TEST(ArbitrationProperty, FreeArbitrationIsContentionFree) {
-  cache::MainMemory memory;
-  cache::MainMemoryLevel terminal(memory, kMemLatency);
-  cache::ArbitratedLevel arb(terminal, 4, 1.0,
-                             std::make_unique<cache::FreeArbitration>());
-  std::uint32_t buf[8] = {};
-  for (std::size_t r = 0; r < 4; ++r) {
-    arb.begin_request(r);
-    EXPECT_EQ(arb.fetch_block(0x1000 * r, buf, 8), kMemLatency);
-  }
-  EXPECT_EQ(arb.contention_cycles(), 0u);
 }
 
 }  // namespace

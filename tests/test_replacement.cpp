@@ -1,87 +1,123 @@
-// Replacement policy tests.
+// True-LRU replacement, observed through a small Cache: which way a miss
+// fills (AccessResult::way) and which lines survive.
 #include <gtest/gtest.h>
 
-#include "hvc/cache/replacement.hpp"
+#include <cstdint>
+
+#include "hvc/cache/cache.hpp"
 #include "hvc/common/error.hpp"
 
 namespace hvc::cache {
 namespace {
 
-TEST(Replacement, FactoryNames) {
-  EXPECT_EQ(to_string(ReplacementKind::kLru), "LRU");
-  EXPECT_EQ(to_string(ReplacementKind::kFifo), "FIFO");
-  EXPECT_EQ(to_string(ReplacementKind::kRandom), "random");
-}
+constexpr std::size_t kWays = 4;
+constexpr std::size_t kSets = 2;
+constexpr std::uint64_t kLineBytes = 32;
 
-TEST(Lru, EvictsLeastRecentlyUsed) {
-  auto policy = make_policy(ReplacementKind::kLru, 4, 4, 1);
-  policy->touch(0, 0);
-  policy->touch(0, 1);
-  policy->touch(0, 2);
-  policy->touch(0, 3);
-  policy->touch(0, 0);  // 0 becomes most recent; 1 is now oldest
-  EXPECT_EQ(policy->victim(0, {0, 1, 2, 3}), 1u);
-}
-
-TEST(Lru, HitPromotes) {
-  auto policy = make_policy(ReplacementKind::kLru, 1, 3, 1);
-  policy->touch(0, 0);
-  policy->touch(0, 1);
-  policy->touch(0, 2);
-  policy->touch(0, 0);  // re-reference way 0
-  EXPECT_EQ(policy->victim(0, {0, 1, 2}), 1u);
-}
-
-TEST(Lru, SetsAreIndependent) {
-  auto policy = make_policy(ReplacementKind::kLru, 2, 2, 1);
-  policy->touch(0, 0);
-  policy->touch(1, 1);
-  policy->touch(0, 1);
-  // Set 0: way 0 older than way 1. Set 1: way 0 untouched (stamp 0).
-  EXPECT_EQ(policy->victim(0, {0, 1}), 0u);
-  EXPECT_EQ(policy->victim(1, {0, 1}), 0u);
-}
-
-TEST(Lru, RestrictedCandidates) {
-  // Gated ways are excluded by the cache: the policy must respect the
-  // candidate list even if another way is older.
-  auto policy = make_policy(ReplacementKind::kLru, 1, 4, 1);
-  policy->touch(0, 0);
-  policy->touch(0, 1);
-  policy->touch(0, 2);
-  policy->touch(0, 3);
-  EXPECT_EQ(policy->victim(0, {2, 3}), 2u);
-}
-
-TEST(Fifo, IgnoresHits) {
-  auto policy = make_policy(ReplacementKind::kFifo, 1, 3, 1);
-  policy->touch(0, 0);  // fill order: 0, 1, 2
-  policy->touch(0, 1);
-  policy->touch(0, 2);
-  policy->touch(0, 0);  // hit on 0: FIFO order unchanged
-  EXPECT_EQ(policy->victim(0, {0, 1, 2}), 0u);
-}
-
-TEST(Random, OnlyPicksCandidates) {
-  auto policy = make_policy(ReplacementKind::kRandom, 1, 8, 7);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t victim = policy->victim(0, {3, 5});
-    EXPECT_TRUE(victim == 3 || victim == 5);
+/// 4 ways x 2 sets of 32 B lines, uncoded and fault-free. The last
+/// `ule_ways` ways stay powered at ULE mode.
+[[nodiscard]] CacheConfig lru_config(std::size_t ule_ways) {
+  CacheConfig config;
+  config.org.size_bytes = kWays * kSets * kLineBytes;
+  config.org.ways = kWays;
+  config.org.line_bytes = kLineBytes;
+  config.ways.resize(kWays);
+  for (std::size_t w = 0; w < kWays; ++w) {
+    config.ways[w].cell = {tech::CellKind::k6T, 2.0};
+    if (w >= kWays - ule_ways) {
+      config.ways[w].ule_way = true;
+      config.ways[w].cell = {tech::CellKind::k10T, 2.0};
+    }
   }
+  return config;
 }
 
-TEST(Random, EventuallyPicksAll) {
-  auto policy = make_policy(ReplacementKind::kRandom, 1, 4, 9);
-  std::array<bool, 4> seen{};
-  for (int trial = 0; trial < 200; ++trial) {
-    seen[policy->victim(0, {0, 1, 2, 3})] = true;
+/// Address of the k-th distinct line that maps to `set`.
+[[nodiscard]] std::uint64_t line(std::size_t set, std::uint64_t k) {
+  return (k * kSets + set) * kLineBytes;
+}
+
+class Lru : public ::testing::Test {
+ protected:
+  explicit Lru(std::size_t ule_ways = 1)
+      : rng_(1),
+        terminal_(memory_, kPaperMemoryLatencyCycles),
+        cache_(lru_config(ule_ways), terminal_, rng_) {}
+
+  /// Loads `addr`; returns the way it hit or was filled into.
+  std::size_t load(std::uint64_t addr) {
+    return cache_.access(addr, AccessType::kLoad).way;
   }
-  EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]);
+  [[nodiscard]] bool hits(std::uint64_t addr) {
+    return cache_.access(addr, AccessType::kLoad).hit;
+  }
+
+  MainMemory memory_;
+  Rng rng_;
+  MainMemoryLevel terminal_;
+  Cache cache_;
+};
+
+TEST_F(Lru, ColdFillsTakeInvalidWaysInOrderThenEvictTheOldest) {
+  for (std::uint64_t k = 0; k < kWays; ++k) {
+    EXPECT_EQ(load(line(0, k)), k);
+  }
+  EXPECT_EQ(load(line(0, 4)), 0u);  // line 0 was filled first
+  EXPECT_EQ(load(line(0, 5)), 1u);
+  EXPECT_FALSE(hits(line(0, 0)));
 }
 
-TEST(Replacement, EmptyCandidatesThrow) {
-  auto policy = make_policy(ReplacementKind::kLru, 1, 2, 1);
-  EXPECT_THROW((void)policy->victim(0, {}), PreconditionError);
+TEST_F(Lru, HitPromotes) {
+  for (std::uint64_t k = 0; k < kWays; ++k) {
+    (void)load(line(0, k));
+  }
+  EXPECT_TRUE(hits(line(0, 0)));  // line 0 becomes the most recent
+  EXPECT_EQ(load(line(0, 4)), 1u);
+  EXPECT_TRUE(hits(line(0, 0)));
+  EXPECT_FALSE(hits(line(0, 1)));
+}
+
+TEST_F(Lru, SetsAreIndependent) {
+  for (std::uint64_t k = 0; k < kWays; ++k) {
+    (void)load(line(0, k));
+    (void)load(line(1, k));
+  }
+  EXPECT_TRUE(hits(line(1, 0)));
+  EXPECT_TRUE(hits(line(0, 1)));
+  // Oldest first, set 0's ways are now 0, 2, 3, 1 and set 1's are
+  // 1, 2, 3, 0: each miss evicts its own set's oldest line.
+  EXPECT_EQ(load(line(0, 4)), 0u);
+  EXPECT_EQ(load(line(1, 4)), 1u);
+}
+
+class LruTwoUleWays : public Lru {
+ protected:
+  LruTwoUleWays() : Lru(2) {}
+};
+
+TEST_F(LruTwoUleWays, GatedHpWaysAreNeverVictimsAtUle) {
+  for (std::uint64_t k = 0; k < kWays; ++k) {
+    (void)load(line(0, k));
+  }
+  EXPECT_TRUE(hits(line(0, 2)));
+  cache_.set_mode(power::Mode::kUle);
+  // HP ways 0 and 1 hold the oldest stamps but are gated off; the ULE
+  // ways keep lines 2 and 3, and line 3 is the older of the two.
+  EXPECT_EQ(load(line(0, 4)), 3u);
+  EXPECT_EQ(load(line(0, 5)), 2u);
+  EXPECT_EQ(load(line(0, 6)), 3u);
+  EXPECT_FALSE(cache_.line_valid(0, 0));
+  EXPECT_FALSE(cache_.line_valid(1, 0));
+}
+
+TEST(LruNoUleWay, UleAccessThrows) {
+  MainMemory memory;
+  Rng rng(1);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
+  Cache cache(lru_config(0), terminal, rng);
+  cache.set_mode(power::Mode::kUle);
+  EXPECT_THROW((void)cache.access(line(0, 0), AccessType::kLoad),
+               InvariantError);
 }
 
 }  // namespace

@@ -24,8 +24,7 @@ class ScrubTest : public ::testing::Test {
  protected:
   ScrubTest()
       : rng_(1),
-        terminal_(memory_,
-                  scrub_config(edc::Protection::kSecded).memory_latency_cycles),
+        terminal_(memory_, kPaperMemoryLatencyCycles),
         cache_(scrub_config(edc::Protection::kSecded), terminal_, rng_) {
     cache_.set_mode(power::Mode::kUle);
     // Initialize the whole region first, then warm the cache (a line fill
@@ -122,7 +121,7 @@ TEST(ScrubDected, SurvivesDoubleFlipsInPlace) {
   MainMemory memory;
   Rng rng(2);
   const CacheConfig config = scrub_config(edc::Protection::kDected);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   memory.write_word(96, 1111);
@@ -139,7 +138,7 @@ TEST(ScrubUnprotected, NoCodedWaysNothingToScrub) {
   MainMemory memory;
   Rng rng(3);
   const CacheConfig config = scrub_config(edc::Protection::kNone);
-  MainMemoryLevel terminal(memory, config.memory_latency_cycles);
+  MainMemoryLevel terminal(memory, kPaperMemoryLatencyCycles);
   Cache cache(config, terminal, rng);
   cache.set_mode(power::Mode::kUle);
   memory.write_word(0, 5);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,6 +293,32 @@ TEST(ServeTest, OverlongRequestGetsAnErrorThenEofAndTheDaemonServesOn) {
   const QueryResult result = query(socket_path, kSpecText);
   EXPECT_TRUE(result.error.empty()) << result.error;
   EXPECT_EQ(result.csv, run_sweep(SweepSpec::parse(kSpecText), 1).to_csv());
+}
+
+/// Lines of /proc/self/maps: one per memory mapping of this process. A
+/// finished but unjoined thread keeps two (its stack and guard page).
+[[nodiscard]] std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t count = 0;
+  for (std::string line; std::getline(maps, line);) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ServeTest, FinishedConnectionsAreReaped) {
+  const std::string socket_path = temp_name("reap.sock");
+  ServiceRunner runner(ServeOptions{socket_path, "", false, 1, false});
+  std::size_t after_50 = 0;
+  for (std::size_t client = 1; client <= 300; ++client) {
+    // Connect, then hang up: at most one client is open at a time.
+    { UnixStream stream = UnixStream::connect(socket_path); }
+    if (client == 50) {
+      after_50 = mapping_count();
+    }
+  }
+  // Unreaped, the last 250 connection threads would add ~500 mappings.
+  EXPECT_LT(mapping_count(), after_50 + 50);
 }
 
 TEST(ServeTest, BindRefusesALiveDaemonAndRecoversAStaleSocket) {
