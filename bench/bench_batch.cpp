@@ -2,7 +2,7 @@
 // Cache::access reference path. Two layers:
 //   * BM_CacheAccessBatch: raw Cache::access_batched, `block` ops per
 //     iteration, swept across block sizes AND stream shapes — the
-//     resident uncoded-HP shape is the inline/SIMD hit-probe fast path
+//     resident uncoded-HP shape is the inline hit-probe fast path
 //     (replay steady state), the other shapes price the miss, codec and
 //     fault tails.
 //   * BM_ReplayBlockSize: full System::run_trace replay of a real

@@ -102,10 +102,10 @@ BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 void BM_ReplayFromMemory(benchmark::State& state) {
   sim::SystemConfig config;
   sim::System system(config, sim::cell_plan_for(config.design.scenario));
+  trace::MemoryTraceSource source(recorded().workload.tracer);
   std::uint64_t records = 0;
   for (auto _ : state) {
-    const cpu::RunResult result =
-        system.run_trace(recorded().workload.tracer);
+    const cpu::RunResult result = system.run_trace(source);
     benchmark::DoNotOptimize(result.cycles);
     records += recorded().workload.tracer.records().size();
   }

@@ -12,6 +12,13 @@
 // a detected-uncorrectable tag forces a miss, a detected-uncorrectable
 // data word falls back to memory (counted — with properly sized cells this
 // must never happen, which is the paper's predictability argument).
+//
+// Each fact is held once. Everything that depends on the operating mode —
+// which ways are powered, each way's data/tag codec and per-event
+// energies, the lookup charge, hit latency and leakage — lives in one
+// ModeTable per mode, built in the constructor; the codecs are the shared
+// immutable instances of edc::shared_codec. Which line a (set, way) holds
+// lives only in the probe-key rows; a line keeps just its dirty bit.
 #pragma once
 
 #include <cstdint>
@@ -27,26 +34,7 @@
 #include "hvc/common/stats.hpp"
 #include "hvc/power/cache_power.hpp"
 
-// SIMD hit probe: the batch fast path compares all ways of a set against
-// the probed line address in one vector compare over the per-set probe-key
-// row (see Cache::probe_keys_). Uses the portable GCC/Clang vector
-// extensions; any other compiler — or -DHVC_NO_SIMD=ON — falls back to the
-// scalar row scan, which is bit-identical (the probe is side-effect-free
-// either way; only the compare count changes).
-#if !defined(HVC_NO_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define HVC_SIMD_PROBE 1
-#else
-#define HVC_SIMD_PROBE 0
-#endif
-
 namespace hvc::cache {
-
-#if HVC_SIMD_PROBE
-/// Four probe keys at a time; aligned(8) so rows only need natural
-/// std::uint64_t alignment (the compiler emits unaligned vector loads).
-typedef std::uint64_t ProbeVec
-    __attribute__((vector_size(32), aligned(8)));
-#endif
 
 // AccessType / AccessResult live in memory_level.hpp (the shared access
 // contract of every hierarchy level).
@@ -108,36 +96,18 @@ class Cache : public MemoryLevel {
                       std::uint32_t store_value = 0) override;
 
   /// The replay loop's entry point: identical side effects to access(),
-  /// reporting hit + latency only. Hits resolve over the packed per-way
-  /// arrays with a hoisted per-mode context (geometry, energy handles,
-  /// codec/fault dispatch pre-resolved once per mode instead of per
-  /// record); misses, write-through passthroughs and fault-perturbed sets
-  /// fall back to access(), so ordering-sensitive state transitions stay
-  /// exact. Pinned op by op against access() — every stat, every energy
-  /// accumulation step, every latency — by tests/test_batch.cpp.
-  /// cpu::Core calls it once per record because IL1 and DL1 ops must
-  /// interleave in record order (they share a stateful next level).
+  /// reporting hit + latency only. A hit is found by one side-effect-free
+  /// probe over the set's probe-key row and replayed with the current
+  /// mode's table; misses, write-through passthroughs, sets whose stored
+  /// tags touch stuck bits and non-power-of-two geometry fall back to
+  /// access(), so ordering-sensitive state transitions stay exact. Pinned
+  /// op by op against access() — every stat, every energy accumulation
+  /// step, every latency — by tests/test_batch.cpp. cpu::Core calls it
+  /// once per record because IL1 and DL1 ops must interleave in record
+  /// order (they share a stateful next level).
   void access_batched(std::uint64_t addr, AccessType type,
                       std::uint32_t store_value, bool& hit,
                       std::uint32_t& latency_cycles);
-
- private:
-  /// Scalar re-entry for batch ops the fast path cannot replay (miss,
-  /// non-power-of-two geometry, fault-perturbed tag set).
-  void access_batched_fallback(std::uint64_t addr, AccessType type,
-                               std::uint32_t store_value, bool& hit,
-                               std::uint32_t& latency_cycles);
-  /// Out-of-line hit tails for ops that need the EDC codec or the
-  /// write-through passthrough (the inline fast path covers the plain
-  /// uncoded hit, which is the overwhelming majority at HP).
-  void batched_store_tail(std::uint64_t addr, std::uint32_t store_value,
-                          std::size_t hit_way, std::size_t set,
-                          std::size_t widx);
-  void batched_load_coded(std::uint64_t addr, std::size_t hit_way,
-                          std::size_t set, std::size_t word,
-                          std::size_t widx);
-
- public:
 
   /// Switches operating mode. HP->ULE writes back dirty HP-way lines and
   /// invalidates them (gated-Vdd loses content); ULE->HP keeps ULE ways.
@@ -211,15 +181,22 @@ class Cache : public MemoryLevel {
   void clear_energy() noexcept { energy_j_[0] = energy_j_[1] = 0.0; }
 
   /// Static power (W) at the current mode, split into array and EDC parts.
-  [[nodiscard]] double leakage_power() const noexcept;
-  [[nodiscard]] double edc_leakage_power() const noexcept;
+  [[nodiscard]] double leakage_power() const noexcept {
+    return table().leakage_w;
+  }
+  [[nodiscard]] double edc_leakage_power() const noexcept {
+    return table().edc_leakage_w;
+  }
 
   /// Total hit latency at the current mode, including the EDC cycle.
-  [[nodiscard]] std::size_t hit_latency() const noexcept;
+  [[nodiscard]] std::size_t hit_latency() const noexcept {
+    return table().hit_latency;
+  }
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const power::CacheEnergyModel& energy_model() const noexcept;
-  [[nodiscard]] double total_area_um2() const noexcept;
+  /// Silicon area (um^2), check-bit columns and EDC logic included; the
+  /// same at both modes.
+  [[nodiscard]] double total_area_um2() const noexcept { return area_um2_; }
 
   /// True when the line at (way, set) is valid (inspection for tests).
   [[nodiscard]] bool line_valid(std::size_t way, std::size_t set) const;
@@ -233,38 +210,81 @@ class Cache : public MemoryLevel {
     kEnergyCats = 2,
   };
 
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t line_addr = 0;  ///< addr / line_bytes
-  };
-
   struct Way {
-    std::vector<Line> lines;  ///< indexed by set
     /// Packed cache-line storage: each stored codeword (data word + check
     /// bits, strongest-protection layout) occupies one 64-bit word of a
     /// contiguous per-way array — no per-line heap objects, no bit-by-bit
     /// copies on the access path.
     std::vector<std::uint64_t> data_words;  ///< sets * words_per_line
     std::vector<std::uint64_t> tag_words;   ///< one per set
-    std::unique_ptr<edc::Codec> data_codec_hp;
-    std::unique_ptr<edc::Codec> data_codec_ule;
-    std::unique_ptr<edc::Codec> tag_codec_hp;
-    std::unique_ptr<edc::Codec> tag_codec_ule;
     std::unique_ptr<FaultMap> data_faults;
     std::unique_ptr<FaultMap> tag_faults;
     std::unique_ptr<SoftErrorProcess> soft_process;
   };
 
-  [[nodiscard]] bool way_active(std::size_t w) const noexcept;
-  [[nodiscard]] const edc::Codec* data_codec(std::size_t w) const noexcept;
-  [[nodiscard]] const edc::Codec* tag_codec(std::size_t w) const noexcept;
+  /// One way at one mode: whether it is powered, its codecs (the shared
+  /// instances of edc::shared_codec; nullptr = uncoded) and the energy of
+  /// each event it takes part in, in joules.
+  struct WayMode {
+    bool active = false;
+    const edc::Codec* data_codec = nullptr;
+    const edc::Codec* tag_codec = nullptr;
+    double word_write = 0.0;
+    double line_fill = 0.0;
+    double line_read = 0.0;
+    double edc_encode = 0.0;
+    double edc_decode = 0.0;
+  };
+
+  /// Every mode-dependent constant of the cache, built for both modes in
+  /// the constructor from that mode's power::CacheEnergyModel and never
+  /// changed afterwards; set_mode only selects the other table.
+  struct ModeTable {
+    std::vector<WayMode> way;
+    /// Dynamic energy of one lookup (all active ways read in parallel).
+    double lookup_dyn = 0.0;
+    /// Tag-decode energy of each active coded way, in way order: the
+    /// lookup's EDC charge, added one by one in this order.
+    std::vector<double> lookup_edc;
+    std::size_t hit_latency = 0;
+    double leakage_w = 0.0;
+    double edc_leakage_w = 0.0;
+    /// tag_clean[set] == 1 when no active way has a stuck bit in this
+    /// set's stored tag codeword, so the probe-key compare is exactly
+    /// find_way (tags are stored as exact codewords; soft errors only hit
+    /// data words). Hard faults manifest at ULE only, so the HP map is
+    /// all ones; sets that fail it take the scalar path.
+    std::vector<std::uint8_t> tag_clean;
+  };
+
+  [[nodiscard]] ModeTable build_mode_table(
+      const power::CacheEnergyModel& model) const;
+  [[nodiscard]] const ModeTable& table_for(power::Mode mode) const noexcept {
+    return modes_[mode == power::Mode::kHp ? 0 : 1];
+  }
+  [[nodiscard]] const ModeTable& table() const noexcept {
+    return table_for(mode_);
+  }
+
+  /// Index of (set, way) in the row-major per-line arrays (probe keys,
+  /// dirty bits, LRU stamps).
+  [[nodiscard]] std::size_t slot(std::size_t set, std::size_t way) const noexcept {
+    return set * config_.org.ways + way;
+  }
+  [[nodiscard]] bool valid(std::size_t set, std::size_t way) const noexcept {
+    return probe_keys_[slot(set, way)] != kProbeInvalid;
+  }
+  void invalidate(std::size_t set, std::size_t way) noexcept {
+    probe_keys_[slot(set, way)] = kProbeInvalid;
+    dirty_[slot(set, way)] = 0;
+  }
+
   [[nodiscard]] std::size_t set_of(std::uint64_t line_addr) const noexcept;
   [[nodiscard]] std::uint64_t tag_of(std::uint64_t line_addr) const noexcept;
 
-  /// Tag-probes every active way of `set` for `line_addr`; returns the
-  /// hit way, or config_.org.ways on a miss. EDC events encountered while
-  /// decoding tags are recorded in `result`.
+  /// Tag-probes every way of `set` for `line_addr`; returns the hit way,
+  /// or config_.org.ways on a miss. EDC events encountered while decoding
+  /// tags are recorded in `result`.
   [[nodiscard]] std::size_t find_way(std::uint64_t line_addr, std::size_t set,
                                      AccessResult& result);
 
@@ -277,14 +297,29 @@ class Cache : public MemoryLevel {
   [[nodiscard]] std::optional<std::uint32_t> read_data_word(
       std::size_t w, std::size_t set, std::size_t word, AccessResult& result);
 
-  void write_data_word(std::size_t w, std::size_t set, std::size_t word,
-                       std::uint32_t value);
-  void write_tag(std::size_t w, std::size_t set, std::uint64_t tag);
+  /// Encode and store with the codecs of table `t` (the current mode's,
+  /// or the target mode's while set_mode re-encodes).
+  void write_data_word(const ModeTable& t, std::size_t w, std::size_t set,
+                       std::size_t word, std::uint32_t value);
+  void write_tag(const ModeTable& t, std::size_t w, std::size_t set,
+                 std::uint64_t tag);
+
+  /// Store into a present line: encode, charge, then write through or
+  /// mark the line dirty. Shared by every store hit and store fill.
+  void store_to_line(std::uint64_t addr, std::uint32_t value, std::size_t w,
+                     std::size_t set);
+  /// Load from a present line: decode charge, decode, and the next-level
+  /// fallback for an uncorrectable word. Shared likewise.
+  void load_from_line(std::uint64_t addr, std::size_t w, std::size_t set,
+                      AccessResult& result);
 
   /// Index of (set, word) inside a way's packed data-word array.
   [[nodiscard]] std::size_t data_word_index(std::size_t set,
                                             std::size_t word) const noexcept {
-    return set * config_.org.words_per_line() + word;
+    return set * words_per_line_ + word;
+  }
+  [[nodiscard]] std::size_t word_of(std::uint64_t addr) const noexcept {
+    return static_cast<std::size_t>(addr % config_.org.line_bytes) / 4;
   }
 
   /// Bit offset of (set, word) inside a way's data fault map.
@@ -303,8 +338,14 @@ class Cache : public MemoryLevel {
                         const std::uint32_t* incoming = nullptr);
   void writeback_line(std::size_t w, std::size_t set);
 
-  void init();
-  void charge_lookup();
+  /// The lookup charge of every access: the dynamic read, then one tag
+  /// decode per active coded way in way order.
+  void charge_lookup(const ModeTable& t) noexcept {
+    energy_j_[kEnergyDynamic] += t.lookup_dyn;
+    for (const double joules : t.lookup_edc) {
+      energy_j_[kEnergyEdc] += joules;
+    }
+  }
 
   void charge(EnergyCat category, double joules) noexcept {
     energy_j_[category] += joules;
@@ -314,220 +355,148 @@ class Cache : public MemoryLevel {
   /// every hit and fill; fill_line evicts the active way with the
   /// smallest stamp.
   void touch(std::size_t set, std::size_t way) noexcept {
-    lru_stamps_[set * config_.org.ways + way] = ++lru_clock_;
+    lru_stamps_[slot(set, way)] = ++lru_clock_;
   }
 
-  /// Per-mode constants the batch path hoists out of the per-record loop:
-  /// geometry (divisions/modulos pre-reduced to shifts/masks when the
-  /// organisation is power-of-two), energy handles, per-way codec and
-  /// activity dispatch, and the per-set "tag region fault-free" map that
-  /// licenses the exact-probe shortcut. Rebuilt lazily after set_mode();
-  /// everything it caches is immutable between mode switches (fault maps
-  /// are sampled once per chip, codecs and energy models at init).
-  struct BatchCtx {
-    bool fast = false;  ///< geometry is power-of-two; fast path armed
-    power::Mode mode = power::Mode::kHp;
-    std::size_t ways = 0;
-    std::size_t sets = 0;
-    std::size_t wpl = 0;
-    std::uint64_t line_bytes = 0;
-    unsigned line_shift = 0;  ///< log2(line_bytes)
-    std::uint64_t set_mask = 0;
-    std::uint64_t word_mask = 0;  ///< low_mask(org.word_bits)
-    std::size_t hit_latency = 0;
-    bool write_through = false;
-    bool ule = false;
-    double lookup_dyn = 0.0;
-    /// Per-active-coded-way tag-decode charges, in way order (the FP
-    /// accumulation sequence of charge_lookup, replayed add by add).
-    std::vector<double> lookup_edc;
-    struct WayCtx {
-      bool active = false;
-      /// Raw views into the owning Way's storage (stable: the vectors
-      /// are sized once at construction and never reallocated).
-      const Line* lines = nullptr;
-      std::uint64_t* data_words = nullptr;
-      const edc::Codec* data_codec = nullptr;
-      std::size_t data_cw_bits = 0;
-      double word_write = 0.0;
-      double edc_encode = 0.0;
-      double edc_decode = 0.0;
-    };
-    std::vector<WayCtx> way;
-    /// Raw view of the owning cache's probe-key rows (sets * probe_stride,
-    /// row-major, sentinel-padded — see probe_keys_ below): the hit probe
-    /// compares one row against the probed line address instead of
-    /// walking the per-way Line arrays.
-    const std::uint64_t* probe_keys = nullptr;
-    std::size_t probe_stride = 0;
-    /// Per-set most-recent-hit way, probed first. Purely a performance
-    /// hint: a stale entry just falls through to the full way probe.
-    std::vector<std::uint8_t> mru_way;
-    /// tag_clean[set] == 1 when no active way has a stuck bit in this
-    /// set's stored tag codeword: the probe `valid && line_addr ==` is
-    /// then exactly find_way (tags are always stored as exact codewords —
-    /// soft errors only ever touch data words). Sets that fail this take
-    /// the scalar path.
-    std::vector<std::uint8_t> tag_clean;
-  };
+  /// Access the batch path cannot replay: runs access() and reports it.
+  void access_batched_fallback(std::uint64_t addr, AccessType type,
+                               std::uint32_t store_value, bool& hit,
+                               std::uint32_t& latency_cycles);
 
-  void rebuild_batch_ctx();
-
-  /// Probe-key sentinel: never equal to a real line address (addresses
-  /// are at least word-aligned, so line_addr = addr >> line_shift has its
-  /// top bits clear). Inactive ways, invalid lines and the row's padding
-  /// lanes all hold it, so one equality compare per lane answers
-  /// "active && valid && line_addr matches" exactly.
+  /// Probe-key value of an invalid line. Never equal to a real line
+  /// address (addresses are at least word-aligned, so line_addr = addr /
+  /// line_bytes has its top bits clear), so one equality compare answers
+  /// "valid && line_addr matches". Gated ways always hold it: HP->ULE
+  /// invalidates them and fills only pick active ways.
   static constexpr std::uint64_t kProbeInvalid = ~std::uint64_t{0};
-  /// Keeps probe_keys_ mirroring (way, set)'s line state; called at every
-  /// site that changes a line's valid bit or address.
-  void set_probe_key(std::size_t way, std::size_t set,
-                     std::uint64_t key) noexcept {
-    probe_keys_[set * probe_stride_ + way] = key;
-  }
 
   CacheConfig config_;
   MemoryLevel* next_level_;
   power::Mode mode_ = power::Mode::kHp;
+  ModeTable modes_[2];  ///< [0] = HP, [1] = ULE; see table_for()
+  double area_um2_ = 0.0;
   std::vector<Way> ways_;
-  /// True-LRU recency: one stamp per (set, way), row-major by set. The
-  /// clock counts touches, so a larger stamp is a more recent use and a
-  /// never-touched way keeps stamp 0.
+  /// The only record of which line each (set, way) holds, row-major by
+  /// set (see slot()): its line address, or kProbeInvalid. One row is
+  /// what the hit probe scans.
+  std::vector<std::uint64_t> probe_keys_;
+  /// Dirty bit per (set, way). Only a valid line of a write-back cache
+  /// is ever dirty: every invalidation clears it, and write-through
+  /// stores go below instead.
+  std::vector<std::uint8_t> dirty_;
+  /// True-LRU recency per (set, way). The clock counts touches, so a
+  /// larger stamp is a more recent use and a never-touched way keeps
+  /// stamp 0.
   std::vector<std::uint64_t> lru_stamps_;
   std::uint64_t lru_clock_ = 0;
-  std::unique_ptr<power::CacheEnergyModel> hp_model_;
-  std::unique_ptr<power::CacheEnergyModel> ule_model_;
+  /// Per-set most-recent-hit way, probed first. Purely a hint: a stale
+  /// entry falls through to the row scan. It is cleared on a mode switch,
+  /// because a set whose ULE tags are faulty can hold one line in two
+  /// ways, and the probe must then return the first of them, as find_way
+  /// does.
+  std::vector<std::uint8_t> mru_way_;
   CacheStats stats_;
   double energy_j_[kEnergyCats] = {0.0, 0.0};
   Rng rng_;
+  /// Address decode of the batch probe: shift/mask, armed only when the
+  /// line size and set count are powers of two (others run scalar).
+  bool pow2_geometry_ = false;
+  unsigned line_shift_ = 0;
+  std::uint64_t set_mask_ = 0;
+  std::size_t words_per_line_ = 0;
+  std::uint64_t word_mask_ = 0;  ///< low_mask(org.word_bits)
+  bool write_through_ = false;
   /// Stored codeword widths per way (strongest protection, physical layout).
   std::vector<std::size_t> stored_data_cw_bits_;
   std::vector<std::size_t> stored_tag_cw_bits_;
-  /// Reusable line-sized word buffer for fills/write-backs (no per-miss
-  /// allocation; fill and write-back of one cache never overlap).
+  /// Reusable line-sized word buffer for fills, write-backs, scrubs and
+  /// mode-switch re-encodes (none of them overlaps another).
   std::vector<std::uint32_t> line_buf_;
   /// Per-word decodability flags of the line in line_buf_ (write-backs
   /// skip unrecoverable words so the next level keeps its stale copy).
   std::vector<std::uint8_t> line_word_ok_;
-  /// Hit-probe keys, one padded row per set (row-major, probe_stride_
-  /// entries): probe_keys_[set * stride + way] is the line address stored
-  /// in (way, set) when that line is valid, else kProbeInvalid. The rows
-  /// are what the batch path's SIMD probe compares — a structure-of-arrays
-  /// twin of the scattered per-way Line arrays that puts a whole set's
-  /// tags in one cache line (stride is padded to the vector width so the
-  /// last lanes of a row are sentinel, never out-of-bounds).
-  std::vector<std::uint64_t> probe_keys_;
-  std::size_t probe_stride_ = 0;
-  /// Hoisted batch-path context; valid_ goes false on mode switches.
-  BatchCtx batch_ctx_;
-  bool batch_ctx_valid_ = false;
 };
 
 // Defined here (not in cache.cpp) so the per-record replay loops in
 // cpu::Core inline the probe and the plain-hit replay; only misses and
 // codec/write-through tails leave the caller's frame. The sequence of
 // stat increments and FP energy adds below is EXACTLY the access() hit
-// sequence with its constants pre-resolved — reordering or merging any
-// of the adds breaks the bit-identity pin (test_batch).
+// sequence with its constants read from the mode table — reordering or
+// merging any of the adds breaks the bit-identity pin (test_batch).
 inline void Cache::access_batched(std::uint64_t addr, AccessType type,
                                   std::uint32_t store_value, bool& hit,
                                   std::uint32_t& latency_cycles) {
-  if (!batch_ctx_valid_) {
-    rebuild_batch_ctx();
-    batch_ctx_valid_ = true;
-  }
-  BatchCtx& ctx = batch_ctx_;
-  if (!ctx.fast) {
+  if (!pow2_geometry_) {
     access_batched_fallback(addr, type, store_value, hit, latency_cycles);
     return;
   }
+  const ModeTable& t = table();
+  const std::size_t ways = config_.org.ways;
+  const std::uint64_t line_addr = addr >> line_shift_;
+  const std::size_t set = static_cast<std::size_t>(line_addr & set_mask_);
 
-  const std::uint64_t line_addr = addr >> ctx.line_shift;
-  const std::size_t set = static_cast<std::size_t>(line_addr & ctx.set_mask);
-
-  // Exact-probe shortcut: side-effect-free, so a miss (or a set the
-  // shortcut can't prove clean) re-enters through the scalar path with
-  // nothing to unwind. The per-set MRU hint is checked first — runs of
-  // accesses to the same line resolve in one compare; on a hint mismatch
-  // the whole probe row (active+valid+address folded into one key per
-  // way) is compared at once. A matching lane is unique: a set never
-  // holds the same line in two ways (fills happen on misses only).
-  std::size_t hit_way = ctx.ways;
-  if (ctx.tag_clean[set] != 0) {
-    const std::uint64_t* row = ctx.probe_keys + set * ctx.probe_stride;
-    const std::size_t hint = ctx.mru_way[set];
+  // The probe is side-effect-free, so a miss (or a set whose tags it
+  // can't trust) re-enters through the scalar path with nothing to
+  // unwind. The MRU hint resolves runs of accesses to one line in one
+  // compare; otherwise the row is scanned in way order, so the first
+  // matching way wins, as in find_way.
+  std::size_t hit_way = ways;
+  if (t.tag_clean[set] != 0) {
+    const std::uint64_t* row = probe_keys_.data() + set * ways;
+    const std::size_t hint = mru_way_[set];
     if (row[hint] == line_addr) {
       hit_way = hint;
     } else {
-#if HVC_SIMD_PROBE
-      const ProbeVec needle = {line_addr, line_addr, line_addr, line_addr};
-      for (std::size_t base = 0; base < ctx.probe_stride; base += 4) {
-        const ProbeVec eq =
-            *reinterpret_cast<const ProbeVec*>(row + base) == needle;
-        if ((eq[0] | eq[1] | eq[2] | eq[3]) != 0) {
-          hit_way = base + (eq[0] != 0   ? 0u
-                            : eq[1] != 0 ? 1u
-                            : eq[2] != 0 ? 2u
-                                         : 3u);
-          ctx.mru_way[set] = static_cast<std::uint8_t>(hit_way);
-          break;
-        }
-      }
-#else
-      for (std::size_t w = 0; w < ctx.ways; ++w) {
+      for (std::size_t w = 0; w < ways; ++w) {
         if (row[w] == line_addr) {
           hit_way = w;
-          ctx.mru_way[set] = static_cast<std::uint8_t>(w);
+          mru_way_[set] = static_cast<std::uint8_t>(w);
           break;
         }
       }
-#endif
     }
   }
-  if (hit_way == ctx.ways) {
+  if (hit_way == ways) {
     access_batched_fallback(addr, type, store_value, hit, latency_cycles);
     return;
   }
 
-  // --- hit: the scalar sequence with the constants pre-resolved ---
+  // --- hit: the scalar sequence with the constants read from the table ---
   ++stats_.accesses;
   switch (type) {
     case AccessType::kLoad: ++stats_.loads; break;
     case AccessType::kStore: ++stats_.stores; break;
     case AccessType::kIfetch: ++stats_.ifetches; break;
   }
-  energy_j_[kEnergyDynamic] += ctx.lookup_dyn;
-  for (const double joules : ctx.lookup_edc) {
-    energy_j_[kEnergyEdc] += joules;
-  }
+  charge_lookup(t);
   hit = true;
-  latency_cycles = static_cast<std::uint32_t>(ctx.hit_latency);
+  latency_cycles = static_cast<std::uint32_t>(t.hit_latency);
   ++stats_.hits;
   touch(set, hit_way);
 
-  const BatchCtx::WayCtx& wc = ctx.way[hit_way];
-  const std::size_t word = static_cast<std::size_t>(
-      (addr & (ctx.line_bytes - 1)) >> 2);
-  const std::size_t widx = set * ctx.wpl + word;
+  const WayMode& wm = t.way[hit_way];
   if (type == AccessType::kStore) {
-    if (wc.data_codec != nullptr || ctx.write_through) {
-      batched_store_tail(addr, store_value, hit_way, set, widx);
+    if (wm.data_codec != nullptr || write_through_) {
+      store_to_line(addr, store_value, hit_way, set);
       return;
     }
-    wc.data_words[widx] = store_value & ctx.word_mask;
-    energy_j_[kEnergyDynamic] += wc.word_write;
-    energy_j_[kEnergyEdc] += wc.edc_encode;
-    ways_[hit_way].lines[set].dirty = true;
+    const std::size_t word = static_cast<std::size_t>(
+        (addr & (config_.org.line_bytes - 1)) >> 2);
+    ways_[hit_way].data_words[data_word_index(set, word)] =
+        store_value & word_mask_;
+    energy_j_[kEnergyDynamic] += wm.word_write;
+    energy_j_[kEnergyEdc] += wm.edc_encode;
+    dirty_[slot(set, hit_way)] = 1;
     return;
   }
-
-  energy_j_[kEnergyEdc] += wc.edc_decode;
-  if (wc.data_codec == nullptr) {
-    // Uncoded read: the scalar path masks and returns the raw word with
-    // no stats/energy traffic — nothing further to replay.
+  if (wm.data_codec == nullptr) {
+    // Uncoded read: the scalar path charges the (zero) decode energy and
+    // returns the raw word with no stats traffic.
+    energy_j_[kEnergyEdc] += wm.edc_decode;
     return;
   }
-  batched_load_coded(addr, hit_way, set, word, widx);
+  AccessResult scratch;
+  load_from_line(addr, hit_way, set, scratch);
 }
 
 }  // namespace hvc::cache

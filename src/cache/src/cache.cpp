@@ -8,92 +8,105 @@
 
 namespace hvc::cache {
 
-namespace {
-[[nodiscard]] std::unique_ptr<edc::Codec> codec_or_null(
-    edc::Protection protection, std::size_t bits) {
-  if (protection == edc::Protection::kNone) {
-    return nullptr;
-  }
-  return edc::make_codec(protection, bits);
-}
-}  // namespace
-
 Cache::Cache(CacheConfig config, MemoryLevel& next_level, Rng& rng)
     : config_(std::move(config)),
       next_level_(&next_level),
       rng_(rng.fork(0xCACE)) {
-  init();
-}
-
-void Cache::init() {
-  config_.org.validate();
-  expects(config_.ways.size() == config_.org.ways,
-          "one WayPlan per way required");
+  const power::CacheOrg& org = config_.org;
+  org.validate();
+  expects(config_.ways.size() == org.ways, "one WayPlan per way required");
   expects(config_.way_hard_pf.empty() ||
-              config_.way_hard_pf.size() == config_.org.ways,
+              config_.way_hard_pf.size() == org.ways,
           "way_hard_pf must be empty or one entry per way");
 
-  hp_model_ = std::make_unique<power::CacheEnergyModel>(
-      config_.org, config_.ways, config_.hp);
-  ule_model_ = std::make_unique<power::CacheEnergyModel>(
-      config_.org, config_.ways, config_.ule);
-
-  const std::size_t sets = config_.org.sets();
-  const std::size_t wpl = config_.org.words_per_line();
-  lru_stamps_.assign(sets * config_.org.ways, 0);
+  const std::size_t sets = org.sets();
+  words_per_line_ = org.words_per_line();
+  word_mask_ = low_mask(org.word_bits);
+  write_through_ =
+      config_.write_policy == WritePolicy::kWriteThroughNoAllocate;
+  pow2_geometry_ = std::has_single_bit(org.line_bytes) &&
+                   std::has_single_bit(sets);
+  if (pow2_geometry_) {
+    line_shift_ = static_cast<unsigned>(std::countr_zero(org.line_bytes));
+    set_mask_ = static_cast<std::uint64_t>(sets) - 1;
+  }
+  probe_keys_.assign(sets * org.ways, kProbeInvalid);
+  dirty_.assign(sets * org.ways, 0);
+  lru_stamps_.assign(sets * org.ways, 0);
+  mru_way_.assign(sets, 0);
 
   Rng fault_rng(config_.fault_seed);
-  ways_.resize(config_.org.ways);
-  stored_data_cw_bits_.resize(config_.org.ways);
-  stored_tag_cw_bits_.resize(config_.org.ways);
-  for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    const power::WayPlan& plan = config_.ways[w];
+  ways_.resize(org.ways);
+  stored_data_cw_bits_.resize(org.ways);
+  stored_tag_cw_bits_.resize(org.ways);
+  for (std::size_t w = 0; w < org.ways; ++w) {
     Way& way = ways_[w];
-    way.data_codec_hp = codec_or_null(plan.hp_protection, config_.org.word_bits);
-    way.data_codec_ule =
-        codec_or_null(plan.ule_protection, config_.org.word_bits);
-    way.tag_codec_hp = codec_or_null(plan.hp_protection, config_.org.tag_bits);
-    way.tag_codec_ule = codec_or_null(plan.ule_protection, config_.org.tag_bits);
-
     const std::size_t stored_check =
-        edc::check_bits_for(plan.stored_protection());
-    stored_data_cw_bits_[w] = config_.org.word_bits + stored_check;
-    stored_tag_cw_bits_[w] = config_.org.tag_bits + stored_check;
+        edc::check_bits_for(config_.ways[w].stored_protection());
+    stored_data_cw_bits_[w] = org.word_bits + stored_check;
+    stored_tag_cw_bits_[w] = org.tag_bits + stored_check;
     expects(stored_data_cw_bits_[w] <= 64 && stored_tag_cw_bits_[w] <= 64,
             "packed line storage requires codewords of <= 64 bits");
 
-    way.lines.resize(sets);
-    way.data_words.assign(sets * wpl, 0);
+    way.data_words.assign(sets * words_per_line_, 0);
     way.tag_words.assign(sets, 0);
 
     const double pf =
         config_.way_hard_pf.empty() ? 0.0 : config_.way_hard_pf[w];
-    const std::size_t data_bits = sets * wpl * stored_data_cw_bits_[w];
+    const std::size_t data_bits =
+        sets * words_per_line_ * stored_data_cw_bits_[w];
     const std::size_t tag_bits = sets * stored_tag_cw_bits_[w];
     way.data_faults = std::make_unique<FaultMap>(data_bits, pf, fault_rng);
     way.tag_faults = std::make_unique<FaultMap>(tag_bits, pf, fault_rng);
   }
-  line_buf_.assign(wpl, 0);
-  line_word_ok_.assign(wpl, 1);
-  // Probe rows padded to the 4-lane vector width: the padding lanes stay
-  // kProbeInvalid forever, so the SIMD probe never reads past a row and
-  // never matches a phantom way.
-  probe_stride_ = (config_.org.ways + 3) / 4 * 4;
-  probe_keys_.assign(sets * probe_stride_, kProbeInvalid);
+  line_buf_.assign(words_per_line_, 0);
+  line_word_ok_.assign(words_per_line_, 1);
+
+  const power::CacheEnergyModel hp_model(org, config_.ways, config_.hp);
+  const power::CacheEnergyModel ule_model(org, config_.ways, config_.ule);
+  modes_[0] = build_mode_table(hp_model);
+  modes_[1] = build_mode_table(ule_model);
+  area_um2_ = hp_model.total_area_um2();
 }
 
-bool Cache::way_active(std::size_t w) const noexcept {
-  return mode_ == power::Mode::kHp || config_.ways[w].ule_way;
-}
-
-const edc::Codec* Cache::data_codec(std::size_t w) const noexcept {
-  return mode_ == power::Mode::kHp ? ways_[w].data_codec_hp.get()
-                                   : ways_[w].data_codec_ule.get();
-}
-
-const edc::Codec* Cache::tag_codec(std::size_t w) const noexcept {
-  return mode_ == power::Mode::kHp ? ways_[w].tag_codec_hp.get()
-                                   : ways_[w].tag_codec_ule.get();
+Cache::ModeTable Cache::build_mode_table(
+    const power::CacheEnergyModel& model) const {
+  const power::Mode mode = model.op().mode;
+  const std::size_t sets = config_.org.sets();
+  ModeTable t;
+  t.way.resize(config_.org.ways);
+  t.tag_clean.assign(sets, 1);
+  for (std::size_t w = 0; w < config_.org.ways; ++w) {
+    const edc::Protection protection = config_.ways[w].protection_at(mode);
+    WayMode& wm = t.way[w];
+    wm.active = model.way_active(w);
+    wm.data_codec = edc::shared_codec(protection, config_.org.word_bits);
+    wm.tag_codec = edc::shared_codec(protection, config_.org.tag_bits);
+    wm.word_write = model.word_write_energy(w);
+    wm.line_fill = model.line_fill_energy(w);
+    wm.line_read = model.line_read_energy(w);
+    wm.edc_encode = model.edc_encode_energy(w);
+    wm.edc_decode = model.edc_decode_energy(w);
+    if (wm.active && wm.tag_codec != nullptr) {
+      t.lookup_edc.push_back(wm.edc_decode);
+    }
+    // Hard faults manifest at ULE only: there, a set is not clean when a
+    // powered way's stored tag touches a stuck bit.
+    if (wm.active && mode == power::Mode::kUle) {
+      for (std::size_t set = 0; set < sets; ++set) {
+        if (ways_[w].tag_faults->any_stuck(tag_bit_base(w, set),
+                                           stored_tag_cw_bits_[w])) {
+          t.tag_clean[set] = 0;
+        }
+      }
+    }
+  }
+  t.lookup_dyn = model.lookup_energy();
+  t.hit_latency = config_.hit_latency_cycles +
+                  (model.edc_active() ? config_.edc_latency_cycles : 0);
+  t.leakage_w = model.leakage_power();
+  t.edc_leakage_w = model.edc_leakage_power();
+  return t;
 }
 
 std::size_t Cache::set_of(std::uint64_t line_addr) const noexcept {
@@ -107,39 +120,17 @@ std::uint64_t Cache::tag_of(std::uint64_t line_addr) const noexcept {
 
 std::size_t Cache::data_bit_base(std::size_t w, std::size_t set,
                                  std::size_t word) const noexcept {
-  return (set * config_.org.words_per_line() + word) *
-         stored_data_cw_bits_[w];
+  return data_word_index(set, word) * stored_data_cw_bits_[w];
 }
 
 std::size_t Cache::tag_bit_base(std::size_t w, std::size_t set) const noexcept {
   return set * stored_tag_cw_bits_[w];
 }
 
-const power::CacheEnergyModel& Cache::energy_model() const noexcept {
-  return mode_ == power::Mode::kHp ? *hp_model_ : *ule_model_;
-}
-
-double Cache::total_area_um2() const noexcept {
-  return hp_model_->total_area_um2();
-}
-
-double Cache::leakage_power() const noexcept {
-  return energy_model().leakage_power();
-}
-
-double Cache::edc_leakage_power() const noexcept {
-  return energy_model().edc_leakage_power();
-}
-
-std::size_t Cache::hit_latency() const noexcept {
-  return config_.hit_latency_cycles +
-         (energy_model().edc_active() ? config_.edc_latency_cycles : 0);
-}
-
 bool Cache::line_valid(std::size_t way, std::size_t set) const {
   expects(way < ways_.size(), "way out of range");
   expects(set < config_.org.sets(), "set out of range");
-  return ways_[way].lines[set].valid;
+  return valid(set, way);
 }
 
 Breakdown Cache::energy() const {
@@ -151,14 +142,12 @@ Breakdown Cache::energy() const {
 
 std::size_t Cache::find_way(std::uint64_t line_addr, std::size_t set,
                             AccessResult& result) {
+  // Gated ways hold kProbeInvalid, so read_tag skips them unread.
   const std::uint64_t tag = tag_of(line_addr);
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    if (!way_active(w)) {
-      continue;
-    }
     const auto stored_tag = read_tag(w, set, result);
     if (stored_tag && *stored_tag == tag &&
-        ways_[w].lines[set].line_addr == line_addr) {
+        probe_keys_[slot(set, w)] == line_addr) {
       return w;
     }
   }
@@ -167,11 +156,10 @@ std::size_t Cache::find_way(std::uint64_t line_addr, std::size_t set,
 
 std::optional<std::uint64_t> Cache::read_tag(std::size_t w, std::size_t set,
                                              AccessResult& result) {
-  const Line& line = ways_[w].lines[set];
-  if (!line.valid) {
+  if (!valid(set, w)) {
     return std::nullopt;
   }
-  const edc::Codec* codec = tag_codec(w);
+  const edc::Codec* codec = table().way[w].tag_codec;
   const std::size_t active_bits =
       codec ? codec->codeword_bits() : config_.org.tag_bits;
   std::uint64_t raw = ways_[w].tag_words[set];
@@ -202,7 +190,7 @@ std::optional<std::uint32_t> Cache::read_data_word(std::size_t w,
                                                    std::size_t set,
                                                    std::size_t word,
                                                    AccessResult& result) {
-  const edc::Codec* codec = data_codec(w);
+  const edc::Codec* codec = table().way[w].data_codec;
   const std::size_t active_bits =
       codec ? codec->codeword_bits() : config_.org.word_bits;
   std::uint64_t raw = ways_[w].data_words[data_word_index(set, word)];
@@ -227,30 +215,53 @@ std::optional<std::uint32_t> Cache::read_data_word(std::size_t w,
   return static_cast<std::uint32_t>(decoded.data);
 }
 
-void Cache::write_data_word(std::size_t w, std::size_t set, std::size_t word,
+void Cache::write_data_word(const ModeTable& t, std::size_t w,
+                            std::size_t set, std::size_t word,
                             std::uint32_t value) {
-  const edc::Codec* codec = data_codec(w);
-  const std::uint64_t data = value & low_mask(config_.org.word_bits);
+  const edc::Codec* codec = t.way[w].data_codec;
+  const std::uint64_t data = value & word_mask_;
   ways_[w].data_words[data_word_index(set, word)] =
       codec ? codec->encode_word(data) : data;
 }
 
-void Cache::write_tag(std::size_t w, std::size_t set, std::uint64_t tag) {
-  const edc::Codec* codec = tag_codec(w);
+void Cache::write_tag(const ModeTable& t, std::size_t w, std::size_t set,
+                      std::uint64_t tag) {
+  const edc::Codec* codec = t.way[w].tag_codec;
   const std::uint64_t data = tag & low_mask(config_.org.tag_bits);
   ways_[w].tag_words[set] = codec ? codec->encode_word(data) : data;
 }
 
+void Cache::store_to_line(std::uint64_t addr, std::uint32_t value,
+                          std::size_t w, std::size_t set) {
+  const ModeTable& t = table();
+  write_data_word(t, w, set, word_of(addr), value);
+  charge(kEnergyDynamic, t.way[w].word_write);
+  charge(kEnergyEdc, t.way[w].edc_encode);
+  if (write_through_) {
+    (void)next_level_->store_word(addr, value);
+  } else {
+    dirty_[slot(set, w)] = 1;
+  }
+}
+
+void Cache::load_from_line(std::uint64_t addr, std::size_t w, std::size_t set,
+                           AccessResult& result) {
+  charge(kEnergyEdc, table().way[w].edc_decode);
+  const auto value = read_data_word(w, set, word_of(addr), result);
+  // Uncorrectable data: fall back to the next level (predictability
+  // safety net; never taken with properly sized cells).
+  result.data = value ? *value : next_level_->load_word(addr);
+}
+
 void Cache::writeback_line(std::size_t w, std::size_t set) {
-  Line& line = ways_[w].lines[set];
-  const std::size_t wpl = config_.org.words_per_line();
-  const auto& model = energy_model();
-  charge(kEnergyDynamic, model.line_read_energy(w));
-  charge(kEnergyEdc, static_cast<double>(wpl) * model.edc_decode_energy(w));
+  const WayMode& wm = table().way[w];
+  charge(kEnergyDynamic, wm.line_read);
+  charge(kEnergyEdc, static_cast<double>(words_per_line_) * wm.edc_decode);
   AccessResult scratch;
-  const std::uint64_t base_addr = line.line_addr * config_.org.line_bytes;
+  const std::uint64_t base_addr =
+      probe_keys_[slot(set, w)] * config_.org.line_bytes;
   bool all_valid = true;
-  for (std::size_t word = 0; word < wpl; ++word) {
+  for (std::size_t word = 0; word < words_per_line_; ++word) {
     const auto value = read_data_word(w, set, word, scratch);
     // An uncorrectable word during writeback falls back to the (stale)
     // next-level copy; counted via stats_.edc_detected inside
@@ -260,15 +271,16 @@ void Cache::writeback_line(std::size_t w, std::size_t set) {
     all_valid = all_valid && value.has_value();
   }
   if (all_valid) {
-    (void)next_level_->writeback_block(base_addr, line_buf_.data(), wpl);
+    (void)next_level_->writeback_block(base_addr, line_buf_.data(),
+                                       words_per_line_);
   } else {
-    for (std::size_t word = 0; word < wpl; ++word) {
+    for (std::size_t word = 0; word < words_per_line_; ++word) {
       if (line_word_ok_[word]) {
         (void)next_level_->store_word(base_addr + 4 * word, line_buf_[word]);
       }
     }
   }
-  line.dirty = false;
+  dirty_[slot(set, w)] = 0;
   ++stats_.writebacks;
 }
 
@@ -277,17 +289,18 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
                              const std::uint32_t* incoming) {
   // Victim among the active ways: the first invalid one, else the least
   // recently used (the first smallest stamp in way order).
+  const ModeTable& t = table();
   std::size_t victim = config_.org.ways;
   std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    if (!way_active(w)) {
+    if (!t.way[w].active) {
       continue;
     }
-    if (!ways_[w].lines[set].valid) {
+    if (!valid(set, w)) {
       victim = w;
       break;
     }
-    const std::uint64_t stamp = lru_stamps_[set * config_.org.ways + w];
+    const std::uint64_t stamp = lru_stamps_[slot(set, w)];
     if (stamp < oldest) {
       oldest = stamp;
       victim = w;
@@ -297,14 +310,11 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
     throw InvariantError("no active way available for fill");
   }
 
-  Line& line = ways_[victim].lines[set];
-  if (line.valid && line.dirty &&
-      config_.write_policy == WritePolicy::kWriteBackAllocate) {
+  if (dirty_[slot(set, victim)] != 0) {
     writeback_line(victim, set);
     result.writeback = true;
   }
 
-  const std::size_t wpl = config_.org.words_per_line();
   const std::uint64_t base_addr = line_addr * config_.org.line_bytes;
   const std::uint32_t* words = incoming;
   if (words == nullptr) {
@@ -312,22 +322,19 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
     // its own miss chain) — the terminal level reports the flat memory
     // latency, reproducing the original two-level timing exactly.
     result.latency_cycles +=
-        next_level_->fetch_block(base_addr, line_buf_.data(), wpl);
+        next_level_->fetch_block(base_addr, line_buf_.data(), words_per_line_);
     words = line_buf_.data();
   }
-  line.valid = true;
-  line.dirty = false;
-  line.line_addr = line_addr;
-  set_probe_key(victim, set, line_addr);
-  write_tag(victim, set, tag_of(line_addr));
-  for (std::size_t word = 0; word < wpl; ++word) {
-    write_data_word(victim, set, word, words[word]);
+  probe_keys_[slot(set, victim)] = line_addr;
+  dirty_[slot(set, victim)] = 0;
+  write_tag(t, victim, set, tag_of(line_addr));
+  for (std::size_t word = 0; word < words_per_line_; ++word) {
+    write_data_word(t, victim, set, word, words[word]);
   }
 
-  const auto& model = energy_model();
-  charge(kEnergyDynamic, model.line_fill_energy(victim));
-  charge(kEnergyEdc, static_cast<double>(config_.org.words_per_line() + 1) *
-                   model.edc_encode_energy(victim));
+  charge(kEnergyDynamic, t.way[victim].line_fill);
+  charge(kEnergyEdc, static_cast<double>(words_per_line_ + 1) *
+                         t.way[victim].edc_encode);
   ++stats_.fills;
   touch(set, victim);
   return victim;
@@ -345,142 +352,31 @@ AccessResult Cache::access(std::uint64_t addr, AccessType type,
 
   const std::uint64_t line_addr = addr / config_.org.line_bytes;
   const std::size_t set = set_of(line_addr);
-  const std::size_t word =
-      static_cast<std::size_t>(addr % config_.org.line_bytes) / 4;
 
-  const auto& model = energy_model();
-  charge_lookup();
-  result.latency_cycles = hit_latency();
+  const ModeTable& t = table();
+  charge_lookup(t);
+  result.latency_cycles = t.hit_latency;
 
-  const std::size_t hit_way = find_way(line_addr, set, result);
-  if (hit_way != config_.org.ways) {
-    // --- hit ---
+  std::size_t way = find_way(line_addr, set, result);
+  if (way != config_.org.ways) {
     result.hit = true;
-    result.way = hit_way;
     ++stats_.hits;
-    touch(set, hit_way);
-    if (type == AccessType::kStore) {
-      write_data_word(hit_way, set, word, store_value);
-      charge(kEnergyDynamic, model.word_write_energy(hit_way));
-      charge(kEnergyEdc, model.edc_encode_energy(hit_way));
-      if (config_.write_policy == WritePolicy::kWriteThroughNoAllocate) {
-        (void)next_level_->store_word(addr, store_value);
-      } else {
-        ways_[hit_way].lines[set].dirty = true;
-      }
-    } else {
-      charge(kEnergyEdc, model.edc_decode_energy(hit_way));
-      const auto value = read_data_word(hit_way, set, word, result);
-      // Uncorrectable data: fall back to the next level (predictability
-      // safety net; never taken with properly sized cells).
-      result.data = value ? *value : next_level_->load_word(addr);
-    }
-    return result;
-  }
-
-  // --- miss ---
-  ++stats_.misses;
-
-  if (type == AccessType::kStore &&
-      config_.write_policy == WritePolicy::kWriteThroughNoAllocate) {
-    result.latency_cycles += next_level_->store_word(addr, store_value);
-    return result;
-  }
-
-  const std::size_t filled = fill_line(line_addr, set, result);
-  result.way = filled;
-  if (type == AccessType::kStore) {
-    write_data_word(filled, set, word, store_value);
-    charge(kEnergyDynamic, model.word_write_energy(filled));
-    charge(kEnergyEdc, model.edc_encode_energy(filled));
-    ways_[filled].lines[set].dirty = true;
+    touch(set, way);
   } else {
-    charge(kEnergyEdc, model.edc_decode_energy(filled));
-    const auto value = read_data_word(filled, set, word, result);
-    result.data = value ? *value : next_level_->load_word(addr);
+    ++stats_.misses;
+    if (type == AccessType::kStore && write_through_) {
+      result.latency_cycles += next_level_->store_word(addr, store_value);
+      return result;
+    }
+    way = fill_line(line_addr, set, result);
+  }
+  result.way = way;
+  if (type == AccessType::kStore) {
+    store_to_line(addr, store_value, way, set);
+  } else {
+    load_from_line(addr, way, set, result);
   }
   return result;
-}
-
-// --- block-at-a-time fast path -------------------------------------
-//
-// The batch path may hoist loop-invariant work (geometry divisions,
-// energy-model getters, codec/fault dispatch) but may NOT reorder or
-// merge per-record side effects: energy accumulates in non-associative
-// double adds, fault maps are stuck-at (value-dependent), and the next
-// level is stateful — so the fast loop replays the scalar path's side
-// effects op by op, in op order, and drops to the scalar access() for
-// everything ordering-sensitive (misses, write-through passthroughs,
-// sets whose stored tags touch stuck bits).
-
-void Cache::rebuild_batch_ctx() {
-  BatchCtx& ctx = batch_ctx_;
-  const std::size_t sets = config_.org.sets();
-  const std::size_t wpl = config_.org.words_per_line();
-  const auto& model = energy_model();
-
-  ctx.mode = mode_;
-  ctx.ways = config_.org.ways;
-  ctx.sets = sets;
-  ctx.wpl = wpl;
-  ctx.line_bytes = config_.org.line_bytes;
-  // The shortcut probe needs power-of-two geometry for shift/mask address
-  // decode; anything else (never built by the sweeps) runs scalar.
-  ctx.fast = std::has_single_bit(ctx.line_bytes) &&
-             std::has_single_bit(static_cast<std::uint64_t>(sets));
-  if (ctx.fast) {
-    ctx.line_shift =
-        static_cast<unsigned>(std::countr_zero(ctx.line_bytes));
-    ctx.set_mask = static_cast<std::uint64_t>(sets) - 1;
-  }
-  ctx.word_mask = low_mask(config_.org.word_bits);
-  ctx.hit_latency = hit_latency();
-  ctx.write_through =
-      config_.write_policy == WritePolicy::kWriteThroughNoAllocate;
-  ctx.ule = mode_ == power::Mode::kUle;
-  ctx.lookup_dyn = model.lookup_energy();
-
-  ctx.lookup_edc.clear();
-  ctx.way.assign(ctx.ways, {});
-  for (std::size_t w = 0; w < ctx.ways; ++w) {
-    BatchCtx::WayCtx& wc = ctx.way[w];
-    wc.active = way_active(w);
-    if (wc.active && tag_codec(w) != nullptr) {
-      ctx.lookup_edc.push_back(model.edc_decode_energy(w));
-    }
-    wc.lines = ways_[w].lines.data();
-    wc.data_words = ways_[w].data_words.data();
-    wc.data_codec = data_codec(w);
-    wc.data_cw_bits = stored_data_cw_bits_[w];
-    wc.word_write = model.word_write_energy(w);
-    wc.edc_encode = model.edc_encode_energy(w);
-    wc.edc_decode = model.edc_decode_energy(w);
-  }
-  ctx.probe_keys = probe_keys_.data();
-  ctx.probe_stride = probe_stride_;
-  ctx.mru_way.assign(sets, 0);
-
-  // Tags are stored as exact valid codewords (writes re-encode; soft
-  // errors only ever hit data words), so the only thing that can perturb
-  // a tag read is the ULE-mode stuck-at map. A set whose stored tag
-  // region is fault-free across every active way therefore probes to
-  // exactly the scalar find_way outcome with zero codec calls and zero
-  // stats traffic; the rest take the scalar path.
-  ctx.tag_clean.assign(sets, 1);
-  if (ctx.ule) {
-    for (std::size_t set = 0; set < sets; ++set) {
-      for (std::size_t w = 0; w < ctx.ways; ++w) {
-        if (!ctx.way[w].active) {
-          continue;
-        }
-        if (ways_[w].tag_faults->any_stuck(tag_bit_base(w, set),
-                                           stored_tag_cw_bits_[w])) {
-          ctx.tag_clean[set] = 0;
-          break;
-        }
-      }
-    }
-  }
 }
 
 void Cache::access_batched_fallback(std::uint64_t addr, AccessType type,
@@ -491,61 +387,10 @@ void Cache::access_batched_fallback(std::uint64_t addr, AccessType type,
   latency_cycles = static_cast<std::uint32_t>(result.latency_cycles);
 }
 
-void Cache::batched_store_tail(std::uint64_t addr, std::uint32_t store_value,
-                               std::size_t hit_way, std::size_t set,
-                               std::size_t widx) {
-  const BatchCtx& ctx = batch_ctx_;
-  const BatchCtx::WayCtx& wc = ctx.way[hit_way];
-  const std::uint64_t data = store_value & ctx.word_mask;
-  wc.data_words[widx] =
-      wc.data_codec ? wc.data_codec->encode_word(data) : data;
-  energy_j_[kEnergyDynamic] += wc.word_write;
-  energy_j_[kEnergyEdc] += wc.edc_encode;
-  if (ctx.write_through) {
-    (void)next_level_->store_word(addr, store_value);
-  } else {
-    ways_[hit_way].lines[set].dirty = true;
-  }
-}
-
-void Cache::batched_load_coded(std::uint64_t addr, std::size_t hit_way,
-                               std::size_t set, std::size_t word,
-                               std::size_t widx) {
-  const BatchCtx& ctx = batch_ctx_;
-  const BatchCtx::WayCtx& wc = ctx.way[hit_way];
-  std::uint64_t raw = wc.data_words[widx];
-  if (ctx.ule) {
-    raw = ways_[hit_way].data_faults->apply_word(
-        raw, data_bit_base(hit_way, set, word), wc.data_cw_bits);
-  }
-  raw &= low_mask(wc.data_codec->codeword_bits());
-  const edc::WordDecodeResult decoded = wc.data_codec->decode_word(raw);
-  if (decoded.status == edc::DecodeStatus::kDetected) {
-    ++stats_.edc_detected;
-    // Uncorrectable data: the scalar path falls back to the next level.
-    (void)next_level_->load_word(addr);
-  } else if (decoded.status == edc::DecodeStatus::kCorrected) {
-    stats_.edc_corrections += decoded.corrected_bits;
-  }
-}
-
-void Cache::charge_lookup() {
-  const auto& model = energy_model();
-  charge(kEnergyDynamic, model.lookup_energy());
-  // Tag decode on every lookup of every active coded way.
-  for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    if (way_active(w) && tag_codec(w) != nullptr) {
-      charge(kEnergyEdc, model.edc_decode_energy(w));
-    }
-  }
-}
-
 void Cache::set_mode(power::Mode mode) {
   if (mode == mode_) {
     return;
   }
-  const std::size_t wpl = config_.org.words_per_line();
-
   if (mode == power::Mode::kUle) {
     // HP -> ULE: drain HP ways (gated-Vdd loses their content).
     for (std::size_t w = 0; w < config_.org.ways; ++w) {
@@ -553,75 +398,57 @@ void Cache::set_mode(power::Mode mode) {
         continue;
       }
       for (std::size_t set = 0; set < config_.org.sets(); ++set) {
-        Line& line = ways_[w].lines[set];
-        if (line.valid && line.dirty &&
-            config_.write_policy == WritePolicy::kWriteBackAllocate) {
+        if (dirty_[slot(set, w)] != 0) {
           writeback_line(w, set);
           ++stats_.mode_switch_writebacks;
         }
-        line.valid = false;
-        line.dirty = false;
-        set_probe_key(w, set, kProbeInvalid);
+        invalidate(set, w);
       }
     }
   }
 
   // Re-encode retained ULE-way lines for the protection of the new mode
-  // (a scrub pass: read+decode with the old code, encode+write with the
-  // new one). Uses the old mode's codecs before switching.
+  // (a scrub pass: read+decode with the current mode's codes, encode+write
+  // with the target mode's).
+  const ModeTable& target = table_for(mode);
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    if (!config_.ways[w].ule_way) {
-      continue;
-    }
-    if (config_.ways[w].hp_protection == config_.ways[w].ule_protection) {
-      continue;  // same codeword layout in both modes
+    const power::WayPlan& plan = config_.ways[w];
+    if (!plan.ule_way || plan.hp_protection == plan.ule_protection) {
+      continue;  // gated at ULE, or the same codeword layout in both modes
     }
     for (std::size_t set = 0; set < config_.org.sets(); ++set) {
-      Line& line = ways_[w].lines[set];
-      if (!line.valid) {
+      if (!valid(set, w)) {
         continue;
       }
       AccessResult scratch;
-      std::vector<std::uint32_t> words(wpl, 0);
       bool lost = false;
-      for (std::size_t word = 0; word < wpl; ++word) {
+      for (std::size_t word = 0; word < words_per_line_ && !lost; ++word) {
         const auto value = read_data_word(w, set, word, scratch);
-        if (!value) {
-          lost = true;
-          break;
-        }
-        words[word] = *value;
+        lost = !value;
+        line_buf_[word] = value.value_or(0);
       }
       const auto old_tag = read_tag(w, set, scratch);
       if (lost || !old_tag) {
-        line.valid = false;
-        line.dirty = false;
-        set_probe_key(w, set, kProbeInvalid);
+        invalidate(set, w);
         continue;
       }
-      const power::Mode old_mode = mode_;
-      mode_ = mode;  // encode with the new mode's codec
-      write_tag(w, set, *old_tag);
-      for (std::size_t word = 0; word < wpl; ++word) {
-        write_data_word(w, set, word, words[word]);
+      write_tag(target, w, set, *old_tag);
+      for (std::size_t word = 0; word < words_per_line_; ++word) {
+        write_data_word(target, w, set, word, line_buf_[word]);
       }
-      mode_ = old_mode;
       // Scrub energy: one line read + one line fill at the new mode.
-      charge(kEnergyDynamic, (mode == power::Mode::kHp ? *hp_model_ : *ule_model_)
-                           .line_fill_energy(w));
+      charge(kEnergyDynamic, target.way[w].line_fill);
     }
   }
 
   mode_ = mode;
-  // The hoisted batch context caches mode-dependent energy handles, way
-  // activity and the tag-clean map; rebuild it lazily on next use.
-  batch_ctx_valid_ = false;
+  std::fill(mru_way_.begin(), mru_way_.end(), 0);
 }
 
 void Cache::enable_soft_errors(std::size_t way, double rate_per_bit) {
   expects(way < ways_.size(), "way out of range");
-  const std::size_t bits = config_.org.sets() * config_.org.words_per_line() *
-                           stored_data_cw_bits_[way];
+  const std::size_t bits =
+      config_.org.sets() * words_per_line_ * stored_data_cw_bits_[way];
   ways_[way].soft_process =
       std::make_unique<SoftErrorProcess>(bits, rate_per_bit);
 }
@@ -631,7 +458,7 @@ void Cache::advance_time(double seconds) {
     return;
   }
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    if (!way_active(w) || ways_[w].soft_process == nullptr) {
+    if (!table().way[w].active || ways_[w].soft_process == nullptr) {
       continue;
     }
     const auto flips = ways_[w].soft_process->advance(seconds, rng_);
@@ -654,53 +481,46 @@ void Cache::inject_bit_flip(std::size_t way, std::size_t set,
   const std::size_t cw = stored_data_cw_bits_[way];
   const std::size_t word = bit_in_line / cw;
   const std::size_t bit = bit_in_line % cw;
-  expects(word < config_.org.words_per_line(), "bit_in_line out of range");
+  expects(word < words_per_line_, "bit_in_line out of range");
   ways_[way].data_words[data_word_index(set, word)] ^= 1ULL << bit;
   ++stats_.soft_errors_injected;
 }
 
 Cache::ScrubReport Cache::scrub() {
   ScrubReport report;
-  const std::size_t wpl = config_.org.words_per_line();
-  const auto& model = energy_model();
+  const ModeTable& t = table();
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    if (!way_active(w) || data_codec(w) == nullptr) {
+    const WayMode& wm = t.way[w];
+    if (!wm.active || wm.data_codec == nullptr) {
       continue;
     }
     for (std::size_t set = 0; set < config_.org.sets(); ++set) {
-      Line& line = ways_[w].lines[set];
-      if (!line.valid) {
+      if (!valid(set, w)) {
         continue;
       }
       ++report.lines_scrubbed;
-      charge(kEnergyDynamic, model.line_read_energy(w) + model.line_fill_energy(w));
-      charge(kEnergyEdc, static_cast<double>(wpl) * (model.edc_decode_energy(w) +
-                                               model.edc_encode_energy(w)));
+      charge(kEnergyDynamic, wm.line_read + wm.line_fill);
+      charge(kEnergyEdc, static_cast<double>(words_per_line_) *
+                             (wm.edc_decode + wm.edc_encode));
       AccessResult scratch;
       bool lost = false;
-      std::vector<std::uint32_t> words(wpl, 0);
-      for (std::size_t word = 0; word < wpl; ++word) {
+      for (std::size_t word = 0; word < words_per_line_ && !lost; ++word) {
         const auto value = read_data_word(w, set, word, scratch);
-        if (!value) {
-          lost = true;
-          break;
-        }
-        words[word] = *value;
+        lost = !value;
+        line_buf_[word] = value.value_or(0);
       }
       if (lost) {
         ++report.uncorrectable;
-        if (line.dirty) {
+        if (dirty_[slot(set, w)] != 0) {
           ++report.data_loss;
         }
-        line.valid = false;
-        line.dirty = false;
-        set_probe_key(w, set, kProbeInvalid);
+        invalidate(set, w);
         continue;
       }
       report.bits_corrected += scratch.corrected_bits;
       if (scratch.corrected_bits > 0) {
-        for (std::size_t word = 0; word < wpl; ++word) {
-          write_data_word(w, set, word, words[word]);
+        for (std::size_t word = 0; word < words_per_line_; ++word) {
+          write_data_word(t, w, set, word, line_buf_[word]);
         }
       }
     }
@@ -711,8 +531,7 @@ Cache::ScrubReport Cache::scrub() {
 void Cache::flush() {
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
     for (std::size_t set = 0; set < config_.org.sets(); ++set) {
-      Line& line = ways_[w].lines[set];
-      if (line.valid && line.dirty) {
+      if (dirty_[slot(set, w)] != 0) {
         writeback_line(w, set);
       }
     }
@@ -720,13 +539,8 @@ void Cache::flush() {
 }
 
 void Cache::reset() {
-  for (auto& way : ways_) {
-    for (auto& line : way.lines) {
-      line.valid = false;
-      line.dirty = false;
-    }
-  }
   std::fill(probe_keys_.begin(), probe_keys_.end(), kProbeInvalid);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
 // --- MemoryLevel: this cache serving as another cache's next level ---
@@ -739,8 +553,9 @@ std::size_t Cache::fetch_block(std::uint64_t addr, std::uint32_t* out,
           "fetch_block range must lie within one line of this level");
   ++stats_.accesses;
   ++stats_.loads;
-  charge_lookup();
-  std::size_t latency = hit_latency();
+  const ModeTable& t = table();
+  charge_lookup(t);
+  std::size_t latency = t.hit_latency;
 
   const std::size_t set = set_of(line_addr);
   AccessResult scratch;
@@ -755,16 +570,13 @@ std::size_t Cache::fetch_block(std::uint64_t addr, std::uint32_t* out,
     latency += scratch.latency_cycles;
   }
 
-  const auto& model = energy_model();
-  const std::size_t wpl = config_.org.words_per_line();
-  const std::size_t first_word =
-      static_cast<std::size_t>(addr % config_.org.line_bytes) / 4;
-  // Reads `count` of the line's `wpl` words: charge the proportional share
-  // of a whole-line read (identical to writeback_line when count == wpl).
+  // Reads `count` of the line's words: charge the proportional share of a
+  // whole-line read (identical to writeback_line when count is the line).
+  const std::size_t first_word = word_of(addr);
   charge(kEnergyDynamic,
-         model.line_read_energy(w) *
-             (static_cast<double>(count) / static_cast<double>(wpl)));
-  charge(kEnergyEdc, static_cast<double>(count) * model.edc_decode_energy(w));
+         t.way[w].line_read * (static_cast<double>(count) /
+                               static_cast<double>(words_per_line_)));
+  charge(kEnergyEdc, static_cast<double>(count) * t.way[w].edc_decode);
   for (std::size_t i = 0; i < count; ++i) {
     const auto value = read_data_word(w, set, first_word + i, scratch);
     out[i] = value ? *value : next_level_->load_word(addr + 4 * i);
@@ -782,32 +594,29 @@ std::size_t Cache::writeback_block(std::uint64_t addr,
           "writeback_block range must lie within one line of this level");
   ++stats_.accesses;
   ++stats_.stores;
-  charge_lookup();
-  std::size_t latency = hit_latency();
+  const ModeTable& t = table();
+  charge_lookup(t);
+  std::size_t latency = t.hit_latency;
 
-  const std::size_t wpl = config_.org.words_per_line();
-  const std::size_t first_word =
-      static_cast<std::size_t>(addr % config_.org.line_bytes) / 4;
+  const std::size_t first_word = word_of(addr);
   const std::size_t set = set_of(line_addr);
   AccessResult scratch;
   std::size_t w = find_way(line_addr, set, scratch);
 
-  const bool allocate =
-      config_.write_policy == WritePolicy::kWriteBackAllocate;
   if (w == config_.org.ways) {
     ++stats_.misses;
-    if (!allocate) {
+    if (write_through_) {
       // Write-through/no-allocate: pass the block straight down.
       return latency + next_level_->writeback_block(addr, words, count);
     }
     scratch.latency_cycles = 0;
     // A full-line write allocates without fetching from below; a partial
     // write merges into the fetched line.
-    const bool full_line = count == wpl;
+    const bool full_line = count == words_per_line_;
     w = fill_line(line_addr, set, scratch, full_line ? words : nullptr);
     latency += scratch.latency_cycles;
     if (full_line) {
-      ways_[w].lines[set].dirty = true;
+      dirty_[slot(set, w)] = 1;
       return latency;  // fill_line wrote (and charged) the whole line
     }
   } else {
@@ -815,19 +624,17 @@ std::size_t Cache::writeback_block(std::uint64_t addr,
     touch(set, w);
   }
 
-  const auto& model = energy_model();
   for (std::size_t i = 0; i < count; ++i) {
-    write_data_word(w, set, first_word + i, words[i]);
+    write_data_word(t, w, set, first_word + i, words[i]);
   }
-  charge(kEnergyDynamic,
-         static_cast<double>(count) * model.word_write_energy(w));
-  charge(kEnergyEdc, static_cast<double>(count) * model.edc_encode_energy(w));
-  if (allocate) {
-    ways_[w].lines[set].dirty = true;
-  } else {
+  charge(kEnergyDynamic, static_cast<double>(count) * t.way[w].word_write);
+  charge(kEnergyEdc, static_cast<double>(count) * t.way[w].edc_encode);
+  if (write_through_) {
     // Write-through hit: the line is updated in place and the block also
     // goes below; the store buffer hides that latency.
     (void)next_level_->writeback_block(addr, words, count);
+  } else {
+    dirty_[slot(set, w)] = 1;
   }
   return latency;
 }

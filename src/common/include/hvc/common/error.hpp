@@ -2,12 +2,15 @@
 //
 // Style follows the C++ Core Guidelines: preconditions are checked with
 // ensure()/expects() which throw rather than abort, so library users can
-// recover and tests can assert on failures.
+// recover and tests can assert on failures. Both take the message as a
+// std::string_view and build the exception text only when the check
+// fails, so a passing check on a hot path never touches the heap.
 #pragma once
 
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hvc {
 
@@ -38,18 +41,18 @@ namespace detail {
 }  // namespace detail
 
 /// Precondition check: throws PreconditionError when `cond` is false.
-inline void expects(bool cond, const std::string& msg,
+inline void expects(bool cond, std::string_view msg,
                     std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw PreconditionError(msg + " at " + detail::locate(loc));
+  if (!cond) [[unlikely]] {
+    throw PreconditionError(std::string(msg) + " at " + detail::locate(loc));
   }
 }
 
 /// Invariant check: throws InvariantError when `cond` is false.
-inline void ensure(bool cond, const std::string& msg,
+inline void ensure(bool cond, std::string_view msg,
                    std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw InvariantError(msg + " at " + detail::locate(loc));
+  if (!cond) [[unlikely]] {
+    throw InvariantError(std::string(msg) + " at " + detail::locate(loc));
   }
 }
 

@@ -122,15 +122,13 @@ class Core {
        power::OperatingPoint op, const tech::TechNode& node = tech::node32());
 
   /// Replays a trace through the pipeline model. Cache stats/energy are
-  /// deltas for this run only (internally snapshotted).
-  [[nodiscard]] RunResult run(const trace::Tracer& tracer);
-
-  /// Streaming replay: pulls records from `source` in blocks of
-  /// `block_records`, so the memory held during the run is the source's
-  /// own window plus one block (an on-disk trace of any length replays
-  /// in O(1) memory). The source is reset() first; replaying the same
-  /// source twice — or with any other block size — gives bit-identical
-  /// results.
+  /// deltas for this run only (internally snapshotted). Records are
+  /// pulled from `source` in blocks of `block_records`, so the memory
+  /// held during the run is the source's own window plus one block (an
+  /// on-disk trace of any length replays in O(1) memory; an in-memory
+  /// trace replays through a trace::MemoryTraceSource). The source is
+  /// reset() first; replaying the same source twice — or with any other
+  /// block size — gives bit-identical results.
   [[nodiscard]] RunResult run(trace::TraceSource& source,
                               std::size_t block_records =
                                   trace::kReplayBlockRecords);

@@ -98,11 +98,6 @@ void Core::begin_run() {
   consts_.dl1_hit = ports_.dl1->hit_latency();
 }
 
-RunResult Core::run(const trace::Tracer& tracer) {
-  trace::MemoryTraceSource source(tracer);
-  return run(source);
-}
-
 RunResult Core::run(trace::TraceSource& source, std::size_t block_records) {
   expects(block_records > 0, "block_records must be at least 1");
   source.reset();

@@ -4,7 +4,9 @@
 // Codewords are systematic everywhere in hvcache: the first k bits of a
 // codeword are the data word, the remaining (n-k) bits are check bits.
 // This matches how the cache arrays store them (data columns + check
-// columns appended to each physical row).
+// columns appended to each physical row). The cache and its energy model
+// use the shared instances of shared_codec(); make_codec builds a private
+// one.
 #pragma once
 
 #include <cstddef>
@@ -130,5 +132,14 @@ enum class Protection {
 /// (32-bit data words, 26-bit tag words) at a given protection level.
 [[nodiscard]] std::unique_ptr<Codec> make_codec(Protection protection,
                                                 std::size_t data_bits);
+
+/// The process-wide codec for (protection, data_bits): built by make_codec
+/// on the key's first lookup, then handed to every caller for the life of
+/// the process; nullptr for kNone. Concurrent first lookups of one key
+/// build it once. Sharing is safe because a Codec is immutable after
+/// construction (no codec has mutable state), so caches and energy models
+/// point here instead of owning copies.
+[[nodiscard]] const Codec* shared_codec(Protection protection,
+                                        std::size_t data_bits);
 
 }  // namespace hvc::edc

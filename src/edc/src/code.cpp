@@ -1,6 +1,9 @@
 #include "hvc/edc/code.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "hvc/common/error.hpp"
 #include "hvc/edc/bch.hpp"
@@ -107,6 +110,29 @@ std::unique_ptr<Codec> make_codec(Protection protection,
     }
   }
   throw PreconditionError("unknown protection kind");
+}
+
+const Codec* shared_codec(Protection protection, std::size_t data_bits) {
+  if (protection == Protection::kNone) {
+    return nullptr;
+  }
+  // Map nodes never move, so the lock only covers the lookup; call_once
+  // then builds each key's codec exactly once without making callers of
+  // other keys wait for it (the same pattern as sim::cell_plan_for).
+  struct Slot {
+    std::once_flag once;
+    std::unique_ptr<Codec> codec;
+  };
+  static std::mutex mutex;
+  static std::map<std::pair<Protection, std::size_t>, Slot> table;
+  Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    slot = &table[{protection, data_bits}];
+  }
+  std::call_once(slot->once,
+                 [&] { slot->codec = make_codec(protection, data_bits); });
+  return slot->codec.get();
 }
 
 }  // namespace hvc::edc

@@ -8,11 +8,15 @@
 // leakage. Codes can be enabled per mode ("SECDED is simply turned off at
 // HP mode"): disabled check columns are not precharged, so they cost no
 // dynamic energy, but they keep leaking because they stay powered.
+//
+// A model describes one mode and owns no codec: the EDC circuit costs are
+// derived from the shared immutable codecs of edc::shared_codec. The
+// cache builds one model per mode in its constructor, copies what it
+// charges into its per-mode table, and drops the models.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "hvc/edc/code.hpp"
@@ -143,8 +147,9 @@ class CacheEnergyModel {
     // Dynamic arrays with only the columns active in this mode.
     std::unique_ptr<ArrayModel> tag_dynamic;
     std::unique_ptr<ArrayModel> data_dynamic;
-    // EDC circuitry for the protection active in this mode.
-    std::unique_ptr<edc::Codec> codec;  // nullptr when no code active
+    // EDC circuitry for the protection active in this mode: the shared
+    // codec of edc::shared_codec (nullptr when no code is active).
+    const edc::Codec* codec = nullptr;
     double encode_energy = 0.0;
     double decode_energy = 0.0;
     double edc_leakage = 0.0;

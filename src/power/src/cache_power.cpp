@@ -94,7 +94,7 @@ CacheEnergyModel::CacheEnergyModel(const CacheOrg& org,
 
     // --- EDC circuitry for the active protection ---
     if (active != edc::Protection::kNone) {
-      entry.codec = edc::make_codec(active, org_.word_bits);
+      entry.codec = edc::shared_codec(active, org_.word_bits);
       const auto enc = edc::circuit_cost(edc::encoder_shape(*entry.codec), gate);
       const auto dec = edc::circuit_cost(edc::decoder_shape(*entry.codec), gate);
       entry.encode_energy = enc.energy_j;

@@ -115,10 +115,8 @@ class System {
                                             std::uint64_t seed = 1,
                                             std::size_t scale = 1);
 
-  /// Runs an already-captured trace (on core 0).
-  [[nodiscard]] cpu::RunResult run_trace(const trace::Tracer& tracer);
-
-  /// Streaming replay on core 0: records are pulled in blocks of
+  /// Replays a trace on core 0 (an already-captured one through a
+  /// trace::MemoryTraceSource): records are pulled in blocks of
   /// `block_records` (any block size is bit-identical), so memory stays
   /// bounded by the source's window plus one block for traces of any
   /// length. The source is reset() first.

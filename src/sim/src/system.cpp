@@ -266,11 +266,8 @@ cpu::RunResult System::run_workload(const std::string& name,
   const wl::WorkloadInfo& info = wl::find_workload(name);
   const wl::WorkloadResult workload = info.run(seed, scale);
   ensure(workload.self_check, "workload self-check failed: " + name);
-  return run_trace(workload.tracer);
-}
-
-cpu::RunResult System::run_trace(const trace::Tracer& tracer) {
-  return cores_[0]->run(tracer);
+  trace::MemoryTraceSource source(workload.tracer);
+  return run_trace(source);
 }
 
 cpu::RunResult System::run_trace(trace::TraceSource& source,

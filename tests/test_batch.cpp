@@ -229,8 +229,8 @@ TEST(BatchDifferential, MidStreamModeSwitchBitIdentical) {
 class BatchWays : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchWays, HpUncodedBitIdentical) {
-  // The SIMD probe's home shape: uncoded HP, every probe a vector
-  // compare (ways < 4 exercise the sentinel padding lanes).
+  // The probe's home shape: uncoded HP, every hit resolved by the MRU
+  // hint or the probe-key row scan, at every associativity.
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteBackAllocate),

@@ -37,6 +37,11 @@ struct TestSystem {
                                          : power::OperatingPoint{mode, 0.35, 5e6};
     core = std::make_unique<Core>(CoreParams{}, il1, dl1, op);
   }
+  /// Replays an in-memory trace on the core.
+  [[nodiscard]] RunResult run(const trace::Tracer& tracer) {
+    trace::MemoryTraceSource source(tracer);
+    return core->run(source);
+  }
   cache::MainMemory memory;
   Rng rng;
   cache::MainMemoryLevel terminal;
@@ -61,7 +66,7 @@ struct TestSystem {
 TEST(Core, InstructionCountMatchesTrace) {
   TestSystem sys(true);
   const auto t = tight_loop(500);
-  const RunResult result = sys.core->run(t);
+  const RunResult result = sys.run(t);
   EXPECT_EQ(result.instructions, t.stats().instructions);
   EXPECT_EQ(result.il1.ifetches, t.stats().instructions);
   EXPECT_EQ(result.dl1.loads + result.dl1.stores, 1000u);
@@ -69,7 +74,7 @@ TEST(Core, InstructionCountMatchesTrace) {
 
 TEST(Core, CpiNearOneForCacheResidentLoop) {
   TestSystem sys(true);
-  const RunResult result = sys.core->run(tight_loop(5000));
+  const RunResult result = sys.run(tight_loop(5000));
   EXPECT_GT(result.cpi(), 0.99);
   EXPECT_LT(result.cpi(), 1.3);
 }
@@ -84,7 +89,7 @@ TEST(Core, MissesStall) {
     t.exec(loop, true);
     (void)data.get(i);
   }
-  const RunResult result = sys.core->run(t);
+  const RunResult result = sys.run(t);
   EXPECT_GT(result.dl1.misses, 2000u);
   // CPI must reflect 20-cycle memory stalls on ~1/8 of loads.
   EXPECT_GT(result.cpi(), 1.4);
@@ -96,8 +101,8 @@ TEST(Core, EdcCycleCostsAboutThreePercent) {
   TestSystem base(false, power::Mode::kUle);
   TestSystem prop(true, power::Mode::kUle);
   const auto t = tight_loop(20000);
-  const RunResult r_base = base.core->run(t);
-  const RunResult r_prop = prop.core->run(t);
+  const RunResult r_base = base.run(t);
+  const RunResult r_prop = prop.run(t);
   const double slowdown = static_cast<double>(r_prop.cycles) /
                           static_cast<double>(r_base.cycles);
   EXPECT_GT(slowdown, 1.005);
@@ -106,7 +111,7 @@ TEST(Core, EdcCycleCostsAboutThreePercent) {
 
 TEST(Core, EnergyBreakdownComplete) {
   TestSystem sys(true);
-  const RunResult result = sys.core->run(tight_loop(1000));
+  const RunResult result = sys.run(tight_loop(1000));
   EXPECT_GT(result.energy.get("l1.dynamic"), 0.0);
   EXPECT_GT(result.energy.get("l1.leakage"), 0.0);
   EXPECT_GT(result.energy.get("core.dynamic"), 0.0);
@@ -123,7 +128,7 @@ TEST(Core, CachesDominateChipEnergy) {
   // Paper I: "caches become the main energy consumer on the chip" for
   // these very simple processors.
   TestSystem sys(true);
-  const RunResult result = sys.core->run(tight_loop(2000));
+  const RunResult result = sys.run(tight_loop(2000));
   const double l1 = result.energy.get("l1.dynamic") +
                     result.energy.get("l1.leakage") +
                     result.energy.get("l1.edc");
@@ -134,8 +139,8 @@ TEST(Core, UleModeEnergyFarBelowHp) {
   TestSystem hp(true, power::Mode::kHp);
   TestSystem ule(true, power::Mode::kUle);
   const auto t = tight_loop(2000);
-  const double epi_hp = hp.core->run(t).epi();
-  const double epi_ule = ule.core->run(t).epi();
+  const double epi_hp = hp.run(t).epi();
+  const double epi_ule = ule.run(t).epi();
   // ULE mode exists to save energy per instruction.
   EXPECT_LT(epi_ule, epi_hp);
 }
@@ -144,24 +149,24 @@ TEST(Core, SecondsFollowFrequency) {
   TestSystem hp(true, power::Mode::kHp);
   TestSystem ule(true, power::Mode::kUle);
   const auto t = tight_loop(1000);
-  const RunResult r_hp = hp.core->run(t);
-  const RunResult r_ule = ule.core->run(t);
+  const RunResult r_hp = hp.run(t);
+  const RunResult r_ule = ule.run(t);
   // Same work at 1 GHz vs 5 MHz: ~200x longer wall clock at ULE.
   EXPECT_GT(r_ule.seconds / r_hp.seconds, 100.0);
 }
 
 TEST(Core, LeakageScalesWithRuntime) {
   TestSystem sys(true, power::Mode::kUle);
-  const RunResult small = sys.core->run(tight_loop(1000));
-  const RunResult large = sys.core->run(tight_loop(4000));
+  const RunResult small = sys.run(tight_loop(1000));
+  const RunResult large = sys.run(tight_loop(4000));
   EXPECT_NEAR(large.energy.get("l1.leakage") / small.energy.get("l1.leakage"),
               4.0, 0.5);
 }
 
 TEST(Core, StatsResetBetweenRuns) {
   TestSystem sys(true);
-  (void)sys.core->run(tight_loop(100));
-  const RunResult second = sys.core->run(tight_loop(100));
+  (void)sys.run(tight_loop(100));
+  const RunResult second = sys.run(tight_loop(100));
   EXPECT_EQ(second.il1.ifetches, tight_loop(100).stats().instructions);
 }
 
