@@ -1,9 +1,9 @@
 // TRACE REPLAY — throughput of the streaming .hvct pipeline: encode
 // (record once), decode (stream the file), and full-system replay from
-// disk vs the in-memory record vector. The decode and replay rates bound
-// how fast `hvc_explore` can fan sweeps out over recorded traces, and
-// the disk-vs-memory pair shows what the bounded-window reader costs on
-// the hot replay path.
+// disk vs the in-memory capture. The decode and replay rates bound how
+// fast `hvc_explore` can fan sweeps out over recorded traces, and the
+// disk-vs-memory pair shows what the bounded-window reader costs on the
+// hot replay path (both decode the same payload format).
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -38,9 +38,8 @@ struct RecordedTrace {
 
 /// Capture-side emission throughput: records/second appended to a
 /// Tracer through the exec/load/store hooks (the loop every workload
-/// kernel drives). PR 8 turned exec() into one resize + in-place fill
-/// per basic block, so this row tracks the generation fast path before
-/// any encoding happens.
+/// kernel drives). The Tracer encodes each record into its in-memory
+/// payload as it is captured, so this row times the shared encoder.
 void BM_TraceGen(benchmark::State& state) {
   std::uint64_t records = 0;
   for (auto _ : state) {
@@ -78,16 +77,19 @@ void BM_TraceWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
 
-/// Decode throughput: records/second pulled out of a TraceFileSource.
+/// Decode throughput: records/second pulled out of a TraceFileSource a
+/// block at a time, as the replay loops pull them (this times the
+/// shared block decoder plus the file window's refills).
 void BM_TraceDecode(benchmark::State& state) {
   trace::TraceFileSource source(recorded().path);
   std::uint64_t records = 0;
-  trace::Record record;
+  trace::Record block[trace::kReplayBlockRecords];
   for (auto _ : state) {
     source.reset();
-    while (source.next(record)) {
-      benchmark::DoNotOptimize(record.addr);
-      ++records;
+    std::size_t got = 0;
+    while ((got = source.next_batch(block, trace::kReplayBlockRecords)) > 0) {
+      benchmark::DoNotOptimize(block[got - 1].addr);
+      records += got;
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
@@ -97,7 +99,7 @@ void BM_TraceDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 
-/// Full-system replay, from the in-memory vector vs streamed from disk:
+/// Full-system replay, from the in-memory capture vs streamed from disk:
 /// the delta is the file pipeline's cost on the paper's evaluation path.
 void BM_ReplayFromMemory(benchmark::State& state) {
   sim::SystemConfig config;

@@ -45,6 +45,9 @@ class UnixStream {
   /// Longest line read_line() accepts (terminator excluded). It bounds
   /// the read buffer; the daemon's requests and events are far smaller.
   static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+  /// Most client streams the daemon serves at once. Together with
+  /// kMaxLineBytes it bounds the daemon's threads and read buffers.
+  static constexpr std::size_t kMaxClients = 64;
 
   enum class ReadStatus {
     kLine,         ///< `out` holds one line (terminator stripped)

@@ -4,16 +4,19 @@
 // PointSource a window at a time, answers warm points straight from an
 // attached result store, evaluates cold points on the pool (their Fig. 2
 // sizing runs come from sim::cell_plan_for, keyed by their inputs and
-// computed once each per process), and pushes finished rows into a
-// ResultSink in source order — whatever order workers finish in.
+// computed once each per process; their workload traces from a
+// sim::TraceMemo owned by the run, generated once each per run), and
+// pushes finished rows into a ResultSink in source order — whatever
+// order workers finish in.
 //
 // Determinism guarantee (unchanged from the monolithic engine): for a
 // fixed spec the emitted rows are byte-identical at ANY thread count.
 //   1. A point's identity is its index from the source; every stochastic
 //      input derives from that index via counter-based Rng::mix64, never
 //      from a stream shared across points.
-//   2. Cell plans are keyed by their inputs; the sizing loop itself is
-//      deterministic and analytic, so lazy memoization cannot change it.
+//   2. Cell plans and workload traces are keyed by their inputs; sizing
+//      and kernel generation are deterministic, so lazy memoization
+//      cannot change them.
 //   3. Rows are formatted locale-free and emitted through a reorder
 //      buffer in source order, so sinks never see completion order (and
 //      never see concurrent calls — sinks need no locking).
@@ -80,6 +83,9 @@ struct ExecStats {
   std::size_t points = 0;
   std::size_t warm = 0;  ///< answered from the store
   std::size_t cold = 0;  ///< simulated
+  /// Kernel traces the run generated: one per (workload, per-core seed,
+  /// scale) its cold points replay, however many points share it.
+  std::size_t traces_generated = 0;
 };
 
 class Executor {

@@ -29,7 +29,10 @@
 // Connections: each client is served on its own thread. The accept loop
 // joins the threads of connections that have ended before it starts a
 // new one, so a long-lived daemon holds threads (and their stacks) only
-// for live clients, not for every client it ever accepted.
+// for live clients, not for every client it ever accepted. At most
+// UnixStream::kMaxClients (64) clients are served at once: a connection
+// beyond that gets one error event naming the cap and is closed, and
+// the daemon serves on.
 //
 // Shutdown: request_stop() is async-signal-safe (it only writes one
 // byte to a self-pipe). The accept loop wakes, in-flight queries are

@@ -113,7 +113,7 @@ struct UleReliability {
 
 [[nodiscard]] std::vector<std::string> simulate_point(
     const SweepSpec& spec, const SweepPoint& point,
-    const yield::CacheCellPlan& plan) {
+    const yield::CacheCellPlan& plan, sim::TraceMemo& traces) {
   sim::SystemConfig config;
   config.design.scenario = point.scenario;
   config.design.proposed = point.proposed;
@@ -141,10 +141,10 @@ struct UleReliability {
   const cpu::RunResult result =
       multicore ? system
                       .run_mix(point.core_workloads(), spec.workload_seed,
-                               spec.scale)
+                               spec.scale, &traces)
                       .aggregate
                 : system.run_workload(point.workload, spec.workload_seed,
-                                      spec.scale);
+                                      spec.scale, &traces);
   const sim::EpiBreakdown epi = sim::epi_breakdown(result);
   const UleReliability reliability =
       ule_reliability(point, plan, point.scrub_interval_s);
@@ -286,6 +286,9 @@ struct Executor::RunState {
   std::size_t outstanding = 0;  ///< pool tasks submitted, not finished
   std::exception_ptr error;     ///< first point failure
   bool cancelled = false;       ///< set by Executor::cancel()
+  /// The run's workload traces, one generation per key; they go with
+  /// the run, so a long-lived executor holds none between runs.
+  sim::TraceMemo traces;
 };
 
 Executor::Executor(std::size_t threads)
@@ -321,7 +324,7 @@ void Executor::evaluate_into(const SweepSpec& spec, const SweepPoint& point,
     const yield::CacheCellPlan& plan = sim::cell_plan_for(
         point.scenario, point.hp_vcc, point.ule_vcc, spec.target_yield);
     cells = spec.kind == SweepKind::kSimulation
-                ? simulate_point(spec, point, plan)
+                ? simulate_point(spec, point, plan, state->traces)
                 : methodology_point(spec, point, plan);
   } catch (...) {
     failure = std::current_exception();
@@ -506,6 +509,7 @@ ExecStats Executor::run(const SweepSpec& spec, PointSource& source,
 
   sink.end();
   stats.points = emitted;
+  stats.traces_generated = state->traces.generated();
   return stats;
 }
 

@@ -154,6 +154,15 @@ void Service::run() {
         break;  // shutdown requested
       }
       reap_finished_connections();
+      if (connections_.size() >= UnixStream::kMaxClients) {
+        // Refuse on the accept thread: one small event fits the socket
+        // buffer, and the stream closes as it goes out of scope.
+        (void)send_error(*client, nullptr,
+                         "the daemon serves at most " +
+                             std::to_string(UnixStream::kMaxClients) +
+                             " clients at once; closing the connection");
+        continue;
+      }
       Connection& connection = connections_.emplace_back();
       connection.thread = std::thread(
           [this, &connection, stream = std::move(*client)]() mutable {

@@ -12,10 +12,14 @@
 // 32-bit data words, 26-bit tags, 1V/1GHz HP and 350mV/5MHz ULE.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hvc/cache/arbiter.hpp"
@@ -102,6 +106,35 @@ struct MulticoreResult {
   cpu::RunResult aggregate;
 };
 
+/// Registry-kernel traces generated once per (workload, seed, scale) and
+/// shared, immutable, by every replay that asks for the same key. The
+/// first caller of a key runs the kernel; concurrent callers of that key
+/// wait for it, callers of other keys do not (the cell_plan_for
+/// pattern). Nothing is evicted: the sweep engine keeps one memo per
+/// run, whose keys its spec bounds (workloads x core positions).
+class TraceMemo {
+ public:
+  /// The trace of kernel `workload` at (seed, scale); throws ConfigError
+  /// for an unknown name and InvariantError when its self-check fails.
+  [[nodiscard]] const trace::Tracer& get(const std::string& workload,
+                                         std::uint64_t seed,
+                                         std::size_t scale);
+
+  /// Traces generated so far (one per key).
+  [[nodiscard]] std::size_t generated() const noexcept {
+    return generated_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    trace::Tracer tracer;
+  };
+  std::mutex mutex_;
+  std::map<std::tuple<std::string, std::uint64_t, std::size_t>, Slot> slots_;
+  std::atomic<std::size_t> generated_{0};
+};
+
 /// One simulated chip instance.
 class System {
  public:
@@ -111,9 +144,12 @@ class System {
   /// "trace:<path>" (seed/scale do not apply to recorded traces) — and
   /// returns timing/energy results. Single-core path (replays on core 0;
   /// with num_cores > 1 prefer run_mix, which interleaves all cores).
+  /// A kernel's trace comes from `traces` (a memo local to the call when
+  /// null); recorded traces stream from disk and are never memoized.
   [[nodiscard]] cpu::RunResult run_workload(const std::string& name,
                                             std::uint64_t seed = 1,
-                                            std::size_t scale = 1);
+                                            std::size_t scale = 1,
+                                            TraceMemo* traces = nullptr);
 
   /// Replays a trace on core 0 (an already-captured one through a
   /// trace::MemoryTraceSource): records are pulled in blocks of
@@ -133,16 +169,15 @@ class System {
       std::uint64_t seed, std::size_t core) noexcept;
 
   /// Multi-core run: core c replays `workloads[c % workloads.size()]`
-  /// (a registry name seeded core_workload_seed(seed, c), or a
-  /// "trace:<path>" recorded trace streamed from disk), stepped by a
-  /// deterministic round-robin interleaver whose start core rotates
-  /// every round — the shared-level arbiter's priority slot circulates
-  /// fairly. Works for any num_cores (num_cores == 1 is bit-identical
-  /// to run_workload).
+  /// (a registry name seeded core_workload_seed(seed, c), taken from
+  /// `traces` like run_workload's, or a "trace:<path>" recorded trace
+  /// streamed from disk), stepped by a deterministic round-robin
+  /// interleaver whose start core rotates every round — the shared-level
+  /// arbiter's priority slot circulates fairly. Works for any num_cores
+  /// (num_cores == 1 is bit-identical to run_workload).
   [[nodiscard]] MulticoreResult run_mix(
       const std::vector<std::string>& workloads, std::uint64_t seed = 1,
-      std::size_t scale = 1,
-      std::size_t block_records = trace::kReplayBlockRecords);
+      std::size_t scale = 1, TraceMemo* traces = nullptr);
 
   /// The interleaving engine behind run_mix: one already-built trace
   /// source per core, stepped one record per core per round (bounded

@@ -257,16 +257,33 @@ double System::chip_leakage_w() const noexcept {
   return leak;
 }
 
-cpu::RunResult System::run_workload(const std::string& name,
+const trace::Tracer& TraceMemo::get(const std::string& workload,
                                     std::uint64_t seed, std::size_t scale) {
+  // Map nodes never move, so the lock only covers the lookup.
+  Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    slot = &slots_[{workload, seed, scale}];
+  }
+  std::call_once(slot->once, [&] {
+    wl::WorkloadResult result = wl::find_workload(workload).run(seed, scale);
+    ensure(result.self_check, "workload self-check failed: " + workload);
+    slot->tracer = std::move(result.tracer);
+    generated_.fetch_add(1, std::memory_order_relaxed);
+  });
+  return slot->tracer;
+}
+
+cpu::RunResult System::run_workload(const std::string& name,
+                                    std::uint64_t seed, std::size_t scale,
+                                    TraceMemo* traces) {
   if (trace::is_trace_ref(name)) {
     trace::TraceFileSource source(trace::trace_ref_path(name));
     return run_trace(source);
   }
-  const wl::WorkloadInfo& info = wl::find_workload(name);
-  const wl::WorkloadResult workload = info.run(seed, scale);
-  ensure(workload.self_check, "workload self-check failed: " + name);
-  trace::MemoryTraceSource source(workload.tracer);
+  TraceMemo local;
+  trace::MemoryTraceSource source(
+      (traces != nullptr ? *traces : local).get(name, seed, scale));
   return run_trace(source);
 }
 
@@ -286,16 +303,14 @@ std::uint64_t System::core_workload_seed(std::uint64_t seed,
 
 MulticoreResult System::run_mix(const std::vector<std::string>& workloads,
                                 std::uint64_t seed, std::size_t scale,
-                                std::size_t block_records) {
+                                TraceMemo* traces) {
   expects(!workloads.empty(), "run_mix needs at least one workload");
   const std::size_t n = cores_.size();
+  TraceMemo local;
+  TraceMemo& memo = traces != nullptr ? *traces : local;
 
   std::vector<std::string> names;
   names.reserve(n);
-  // In-memory workload captures must stay alive for the whole run (the
-  // MemoryTraceSources borrow their record vectors), so reserve up front.
-  std::vector<wl::WorkloadResult> runs;
-  runs.reserve(n);
   std::vector<std::unique_ptr<trace::TraceSource>> owned;
   owned.reserve(n);
   std::vector<trace::TraceSource*> sources;
@@ -309,16 +324,13 @@ MulticoreResult System::run_mix(const std::vector<std::string>& workloads,
       owned.push_back(std::make_unique<trace::TraceFileSource>(
           trace::trace_ref_path(name)));
     } else {
-      const wl::WorkloadInfo& info = wl::find_workload(name);
-      runs.push_back(info.run(core_workload_seed(seed, c), scale));
-      ensure(runs.back().self_check, "workload self-check failed: " + name);
-      owned.push_back(
-          std::make_unique<trace::MemoryTraceSource>(runs.back().tracer));
+      owned.push_back(std::make_unique<trace::MemoryTraceSource>(
+          memo.get(name, core_workload_seed(seed, c), scale)));
     }
     sources.push_back(owned.back().get());
     names.push_back(name);
   }
-  return run_mix_sources(sources, std::move(names), block_records);
+  return run_mix_sources(sources, std::move(names));
 }
 
 MulticoreResult System::run_mix_sources(

@@ -70,8 +70,8 @@ class TraceSource {
   /// delivered (< max only at end of trace). Equivalent to `max` next()
   /// calls — the default is exactly that loop — but overridable so
   /// sources can amortize per-record dispatch/decode across a block
-  /// (MemoryTraceSource copies a span, TraceFileSource decodes a run of
-  /// varints without per-record virtual calls).
+  /// (MemoryTraceSource and TraceFileSource decode a run of records
+  /// through one PayloadDecoder call).
   virtual std::size_t next_batch(Record* out, std::size_t max) {
     std::size_t produced = 0;
     while (produced < max && next(out[produced])) {
@@ -113,7 +113,8 @@ class TraceSource {
 //                 load/store records against the last *data* address;
 //                 both chains start at 0. Sequential fetch streams and
 //                 strided data streams therefore encode in 2-3 bytes
-//                 per record (vs 17 in-memory).
+//                 per record (vs 16 as a Record). A Tracer holds its
+//                 capture in this payload form too (EncodedRecords).
 //
 //   footer (72 bytes):
 //     bytes 0-3   magic "HVCF"
@@ -127,41 +128,182 @@ class TraceSource {
 //
 // Integrity: readers validate both magics, the version, zero flags/
 // reserved bits, that the payload decodes to exactly `record count`
-// records ending exactly at the footer boundary, and that the stats
+// records ending exactly at the footer boundary (no reserved tag bit, no
+// taken flag off a branch, no varint past 64 bits), and that the stats
 // kind-counts sum to the record count. Any mismatch throws ConfigError.
 // ---------------------------------------------------------------------
 
-/// TraceSource over an in-memory record vector (or a Tracer's capture).
-/// The records are borrowed, not copied — the owner must outlive the
-/// source. This is the adapter that keeps every existing workload path
-/// working unchanged on the streaming interface.
-class MemoryTraceSource final : public TraceSource {
- public:
-  explicit MemoryTraceSource(const std::vector<Record>& records) noexcept
-      : records_(&records) {}
-  explicit MemoryTraceSource(const Tracer& tracer) noexcept;
+/// Longest encoded record: a tag byte plus a 10-byte varint.
+inline constexpr std::size_t kMaxRecordBytes = 11;
 
-  bool next(Record& out) override {
-    if (pos_ >= records_->size()) {
-      return false;
+/// Running TraceStats of a record stream, one add() per record.
+class TraceTally {
+ public:
+  void add(Kind kind, bool taken, std::uint64_t addr) noexcept {
+    ++counts_[static_cast<std::size_t>(kind)];
+    taken_branches_ += taken ? 1 : 0;
+    if (kind == Kind::kIfetch) {
+      code_lo_ = std::min(code_lo_, addr);
+      code_hi_ = std::max(code_hi_, addr + 4);
+    } else if (kind != Kind::kBranch) {
+      data_lo_ = std::min(data_lo_, addr);
+      data_hi_ = std::max(data_hi_, addr + 4);
     }
-    out = (*records_)[pos_++];
-    return true;
   }
-  std::size_t next_batch(Record* out, std::size_t max) override {
-    const std::size_t produced = std::min(max, records_->size() - pos_);
-    std::copy_n(records_->data() + pos_, produced, out);
-    pos_ += produced;
-    return produced;
-  }
-  [[nodiscard]] std::uint64_t size_hint() const noexcept override {
-    return records_->size();
-  }
-  void reset() override { pos_ = 0; }
+  [[nodiscard]] TraceStats stats() const noexcept;
 
  private:
-  const std::vector<Record>* records_;
-  std::size_t pos_ = 0;
+  std::uint64_t counts_[4] = {0, 0, 0, 0};  ///< indexed by Kind
+  std::uint64_t taken_branches_ = 0;
+  std::uint64_t data_lo_ = ~0ULL, data_hi_ = 0;
+  std::uint64_t code_lo_ = ~0ULL, code_hi_ = 0;
+};
+
+/// The payload encoder: the two delta chains and the running stats of
+/// everything encoded so far. It is the only code that writes the
+/// format: TraceWriter encodes into its file window through it, and a
+/// Tracer into its in-memory payload.
+class PayloadEncoder {
+ public:
+  /// Encodes one record at `out`, which must have kMaxRecordBytes of
+  /// room, and returns one past its last byte. Only a branch carries its
+  /// taken flag.
+  std::uint8_t* put(Kind kind, bool taken, std::uint64_t addr,
+                    std::uint8_t* out) noexcept {
+    const bool data = kind == Kind::kLoad || kind == Kind::kStore;
+    std::uint64_t& last = data ? last_data_ : last_code_;
+    const auto delta = static_cast<std::int64_t>(addr - last);
+    std::uint64_t value = (static_cast<std::uint64_t>(delta) << 1) ^
+                          static_cast<std::uint64_t>(delta >> 63);
+    last = addr;
+    ++records_;
+    const bool taken_branch = taken && kind == Kind::kBranch;
+    tally_.add(kind, taken_branch, addr);
+    *out++ = static_cast<std::uint8_t>(static_cast<unsigned>(kind) |
+                                       (taken_branch ? 0x04u : 0u));
+    while (value >= 0x80) {
+      *out++ = static_cast<std::uint8_t>(value) | 0x80;
+      value >>= 7;
+    }
+    *out++ = static_cast<std::uint8_t>(value);
+    return out;
+  }
+
+  [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
+  [[nodiscard]] TraceStats stats() const noexcept { return tally_.stats(); }
+
+ private:
+  std::uint64_t records_ = 0;
+  std::uint64_t last_code_ = 0;
+  std::uint64_t last_data_ = 0;
+  TraceTally tally_;
+};
+
+/// The payload decoder, one block of records per call. MemoryTraceSource
+/// decodes a Tracer's payload through it, TraceFileSource its read
+/// window and fsck_trace its scan, so every reader makes the same checks.
+class PayloadDecoder {
+ public:
+  /// What makes a record malformed. Each has its ConfigError text
+  /// (describe()).
+  enum class Fault : std::uint8_t {
+    kNone,
+    kReservedTagBits,
+    kTakenNonBranch,
+    kOverlongVarint,
+  };
+
+  /// Decodes whole records from [pos, end) into `out`, at most `max`,
+  /// and advances `pos` past them. It stops early at a record that `end`
+  /// cuts in two, or at a malformed one (fault() says why); `pos` then
+  /// points at that record's tag byte.
+  std::size_t decode(const std::uint8_t*& pos, const std::uint8_t* end,
+                     Record* out, std::size_t max) noexcept;
+
+  [[nodiscard]] Fault fault() const noexcept { return fault_; }
+  [[nodiscard]] static const char* describe(Fault fault) noexcept;
+
+  /// Restarts both delta chains (a replay from the first record).
+  void reset() noexcept { *this = PayloadDecoder(); }
+
+ private:
+  std::uint64_t last_[2] = {0, 0};  ///< code chain, data chain
+  Fault fault_ = Fault::kNone;
+};
+
+/// A captured trace in its in-memory form: the payload bytes, encoded as
+/// the records are captured. size() counts records, bytes() the payload.
+/// The bytes live in an anonymous mapping of their own, not in the heap:
+/// a capture can be tens of MB, and in a heap arena its pages would stay
+/// resident after it is freed, as many as the allocator's trim threshold
+/// allows, so a process's peak memory would depend on which thread freed
+/// which capture. A mapping goes back to the system when it is freed,
+/// and grows by remapping instead of copying.
+class EncodedRecords {
+ public:
+  EncodedRecords() = default;
+  ~EncodedRecords();
+  /// Moves leave the source empty, payload and counts alike.
+  EncodedRecords(EncodedRecords&& other) noexcept;
+  EncodedRecords& operator=(EncodedRecords&& other) noexcept;
+
+  void append(Kind kind, bool taken, std::uint64_t addr) {
+    if (capacity_ - used_ < kMaxRecordBytes) [[unlikely]] {
+      grow(2 * capacity_);
+    }
+    used_ = static_cast<std::size_t>(
+        encoder_.put(kind, taken, addr, bytes_ + used_) - bytes_);
+  }
+  /// Makes room for `bytes` more payload bytes without reallocating.
+  void reserve(std::size_t bytes) {
+    if (capacity_ - used_ < bytes) {
+      grow(used_ + bytes);
+    }
+  }
+
+  [[nodiscard]] std::uint64_t size() const noexcept {
+    return encoder_.records();
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const std::uint8_t* data() const noexcept { return bytes_; }
+  [[nodiscard]] std::size_t bytes() const noexcept { return used_; }
+  /// The encoder state after the last record (delta chains and stats).
+  [[nodiscard]] const PayloadEncoder& encoder() const noexcept {
+    return encoder_;
+  }
+
+ private:
+  /// Moves the payload into a mapping of at least `capacity` bytes
+  /// (whole pages); throws std::bad_alloc when the system has none.
+  void grow(std::size_t capacity);
+
+  PayloadEncoder encoder_;
+  std::uint8_t* bytes_ = nullptr;  ///< mapping of capacity_ bytes, or null
+  std::size_t used_ = 0;
+  std::size_t capacity_ = 0;
+};
+
+/// TraceSource over a Tracer's capture. The payload is borrowed, not
+/// copied (the Tracer must outlive the source), so any number of sources
+/// on any threads can replay one immutable capture at once.
+class MemoryTraceSource final : public TraceSource {
+ public:
+  explicit MemoryTraceSource(const Tracer& tracer) noexcept;
+
+  bool next(Record& out) override { return next_batch(&out, 1) == 1; }
+  std::size_t next_batch(Record* out, std::size_t max) override;
+  [[nodiscard]] std::uint64_t size_hint() const noexcept override {
+    return records_;
+  }
+  void reset() override;
+
+ private:
+  const std::uint8_t* begin_;
+  const std::uint8_t* end_;
+  const std::uint8_t* pos_;
+  std::uint64_t records_;
+  std::uint64_t emitted_ = 0;
+  PayloadDecoder decoder_;
 };
 
 /// A synthetic basic block: `instructions` sequential 4-byte instructions
@@ -183,7 +325,8 @@ class Block {
   std::size_t instructions_ = 0;
 };
 
-/// Records every event of one kernel run.
+/// Records every event of one kernel run, encoding each record into the
+/// in-memory payload as it is captured.
 class Tracer {
  public:
   static constexpr std::uint64_t kCodeBase = 0x0040'0000;
@@ -199,22 +342,28 @@ class Tracer {
   void exec(const Block& b, bool taken = false);
 
   /// Raw data-access hooks (used by Array<T>).
-  void load(std::uint64_t addr) { records_.push_back({Kind::kLoad, false, addr}); }
-  void store(std::uint64_t addr) { records_.push_back({Kind::kStore, false, addr}); }
+  void load(std::uint64_t addr) { records_.append(Kind::kLoad, false, addr); }
+  void store(std::uint64_t addr) {
+    records_.append(Kind::kStore, false, addr);
+  }
 
   /// Reserves `bytes` of data address space aligned to `align`.
   [[nodiscard]] std::uint64_t alloc_data(std::size_t bytes,
                                          std::size_t align = 4);
 
-  [[nodiscard]] const std::vector<Record>& records() const noexcept {
+  [[nodiscard]] const EncodedRecords& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] TraceStats stats() const;
+  [[nodiscard]] TraceStats stats() const noexcept {
+    return records_.encoder().stats();
+  }
 
-  void reserve(std::size_t records) { records_.reserve(records); }
+  /// Makes room for `records` more records of a typical kernel without
+  /// reallocating: a data access within an array encodes in 2-3 bytes.
+  void reserve(std::size_t records) { records_.reserve(3 * records); }
 
  private:
-  std::vector<Record> records_;
+  EncodedRecords records_;
   std::uint64_t next_code_ = kCodeBase;
   std::uint64_t next_data_ = kDataBase;
 };

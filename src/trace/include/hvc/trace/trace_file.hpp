@@ -63,21 +63,22 @@ class TraceWriter {
   /// one-record append_batch().
   void append(const Record& record);
 
-  /// Encodes a run of records; the file bytes do not depend on how a
-  /// stream is split into calls. The encoder state (delta chains, stats
-  /// counters, window cursor) is hoisted into locals for the whole run
-  /// and each record is written with one headroom check instead of a
-  /// per-byte capacity test, so whole-block capture (write_trace, Tracer
-  /// dumps) runs at memory speed between window flushes.
+  /// Encodes a run of records through the shared PayloadEncoder; the
+  /// file bytes do not depend on how a stream is split into calls.
   void append_batch(const Record* records, std::size_t count);
+
+  /// Writes an in-memory capture's payload bytes as they are and takes
+  /// over its encoder state. Only on a writer nothing was appended to,
+  /// since the capture's delta chains start at 0.
+  void append_encoded(const EncodedRecords& records);
 
   /// Flushes, writes the footer and closes the file. Idempotent.
   void finish();
 
   /// Running stats of everything appended so far (footprints included).
-  [[nodiscard]] TraceStats stats() const;
+  [[nodiscard]] TraceStats stats() const noexcept { return encoder_.stats(); }
   [[nodiscard]] std::uint64_t records_written() const noexcept {
-    return records_;
+    return encoder_.records();
   }
 
  private:
@@ -90,21 +91,16 @@ class TraceWriter {
   /// faults mid-encode; buf_len_ is the fill cursor.
   std::vector<std::uint8_t> buffer_;
   std::size_t buf_len_ = 0;
-  std::uint64_t records_ = 0;
-  std::uint64_t last_code_ = 0;
-  std::uint64_t last_data_ = 0;
-  // Incremental TraceStats (footprints tracked as lo/hi watermarks).
-  std::uint64_t instructions_ = 0, loads_ = 0, stores_ = 0, branches_ = 0,
-                taken_branches_ = 0;
-  std::uint64_t data_lo_ = ~0ULL, data_hi_ = 0;
-  std::uint64_t code_lo_ = ~0ULL, code_hi_ = 0;
+  PayloadEncoder encoder_;
   bool finished_ = false;
 };
 
 /// Streaming reader over a .hvct file: validates header/footer up front,
-/// then decodes one record per next() out of a fixed-size refill window.
-/// reset() seeks back to the payload start, so one source replays many
-/// times (sweeps) without reopening the file.
+/// then decodes blocks of records out of a fixed-size refill window. A
+/// record the window's end cuts in two is carried over to the next fill,
+/// so any window size decodes the same records. reset() seeks back to
+/// the payload start, so one source replays many times (sweeps) without
+/// reopening the file.
 class TraceFileSource final : public TraceSource {
  public:
   explicit TraceFileSource(const std::string& path,
@@ -113,9 +109,7 @@ class TraceFileSource final : public TraceSource {
   TraceFileSource(const TraceFileSource&) = delete;
   TraceFileSource& operator=(const TraceFileSource&) = delete;
 
-  bool next(Record& out) override;
-  /// Decodes a run of records without per-record virtual dispatch (the
-  /// decode state and refill window are shared with next()).
+  bool next(Record& out) override { return next_batch(&out, 1) == 1; }
   std::size_t next_batch(Record* out, std::size_t max) override;
   [[nodiscard]] std::uint64_t size_hint() const noexcept override {
     return info_.records;
@@ -126,19 +120,17 @@ class TraceFileSource final : public TraceSource {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  [[nodiscard]] std::uint8_t take_byte();
-  [[nodiscard]] std::uint64_t take_varint();
-
   std::string path_;
   std::FILE* file_ = nullptr;
   TraceInfo info_;
+  std::size_t window_ = 0;  ///< bytes read per fill
+  /// window_ plus room for the bytes of one cut record.
   std::vector<std::uint8_t> buffer_;
   std::size_t buf_pos_ = 0;
   std::size_t buf_len_ = 0;
-  std::uint64_t payload_consumed_ = 0;  ///< bytes handed out of the buffer
+  std::uint64_t payload_left_ = 0;  ///< payload bytes not yet read
   std::uint64_t emitted_ = 0;
-  std::uint64_t last_code_ = 0;
-  std::uint64_t last_data_ = 0;
+  PayloadDecoder decoder_;
 };
 
 /// Reads and validates a file's header + footer only (hvc_trace info).

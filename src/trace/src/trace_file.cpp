@@ -17,21 +17,6 @@ constexpr char kHeaderMagic[4] = {'H', 'V', 'C', 'T'};
 constexpr char kFooterMagic[4] = {'H', 'V', 'C', 'F'};
 constexpr std::string_view kTraceRefPrefix = "trace:";
 
-// Tag-byte layout (spec block in trace.hpp).
-constexpr std::uint8_t kKindMask = 0x03;
-constexpr std::uint8_t kTakenBit = 0x04;
-constexpr std::uint8_t kReservedMask = 0xF8;
-
-[[nodiscard]] std::uint64_t zigzag_encode(std::int64_t value) noexcept {
-  return (static_cast<std::uint64_t>(value) << 1) ^
-         static_cast<std::uint64_t>(value >> 63);
-}
-
-[[nodiscard]] std::int64_t zigzag_decode(std::uint64_t value) noexcept {
-  return static_cast<std::int64_t>(value >> 1) ^
-         -static_cast<std::int64_t>(value & 1);
-}
-
 void store_u16(std::uint8_t* out, std::uint16_t value) noexcept {
   out[0] = static_cast<std::uint8_t>(value);
   out[1] = static_cast<std::uint8_t>(value >> 8);
@@ -180,6 +165,28 @@ void parse_footer(const std::string& path,
   return file;
 }
 
+/// Moves the unread bytes [pos, len) of `buffer` (at most one record
+/// cut by the previous fill) to its front, then appends up to `window`
+/// of the `left` payload bytes still in `file`. Returns the bytes read:
+/// 0 at the end of the payload or on a read error.
+std::size_t refill_window(std::FILE* file, std::vector<std::uint8_t>& buffer,
+                          std::size_t& pos, std::size_t& len,
+                          std::uint64_t& left, std::size_t window) {
+  const std::size_t carry = len - pos;
+  std::memmove(buffer.data(), buffer.data() + pos, carry);
+  pos = 0;
+  len = carry;
+  const auto want =
+      static_cast<std::size_t>(std::min<std::uint64_t>(window, left));
+  if (want == 0) {
+    return 0;
+  }
+  const std::size_t got = std::fread(buffer.data() + carry, 1, want, file);
+  len += got;
+  left -= got;
+  return got;
+}
+
 }  // namespace
 
 bool is_trace_ref(std::string_view name) noexcept {
@@ -247,104 +254,30 @@ void TraceWriter::append(const Record& record) { append_batch(&record, 1); }
 
 void TraceWriter::append_batch(const Record* records, std::size_t count) {
   expects(!finished_, "append after finish()");
-  // Worst case per record: 1 tag byte + a 10-byte varint (64-bit delta).
-  // The constructor guarantees the window holds at least one such record.
-  constexpr std::size_t kMaxRecordBytes = 11;
-  // Hoist the whole encoder state — delta chains, stats counters,
-  // footprint watermarks, window cursor — into registers for the run;
-  // the per-record loop touches only locals and the output window.
-  std::uint64_t last_code = last_code_;
-  std::uint64_t last_data = last_data_;
-  std::uint64_t instructions = instructions_, loads = loads_,
-                stores = stores_, branches = branches_,
-                taken_branches = taken_branches_;
-  std::uint64_t data_lo = data_lo_, data_hi = data_hi_;
-  std::uint64_t code_lo = code_lo_, code_hi = code_hi_;
+  // The constructor guarantees the window holds at least one record.
   std::uint8_t* const base = buffer_.data();
-  const std::size_t cap = buffer_.size();
-  std::size_t len = buf_len_;
+  std::uint8_t* const last_start = base + buffer_.size() - kMaxRecordBytes;
+  std::uint8_t* p = base + buf_len_;
   for (std::size_t i = 0; i < count; ++i) {
-    if (cap - len < kMaxRecordBytes) {
-      buf_len_ = len;
+    if (p > last_start) {
+      buf_len_ = static_cast<std::size_t>(p - base);
       flush_buffer();
-      len = 0;
+      p = base;
     }
-    const Record& record = records[i];
-    std::uint8_t tag = 0;
-    std::uint64_t* last = nullptr;
-    switch (record.kind) {
-      case Kind::kIfetch:
-        tag = 0;
-        last = &last_code;
-        ++instructions;
-        code_lo = std::min(code_lo, record.addr);
-        code_hi = std::max(code_hi, record.addr + 4);
-        break;
-      case Kind::kLoad:
-        tag = 1;
-        last = &last_data;
-        ++loads;
-        data_lo = std::min(data_lo, record.addr);
-        data_hi = std::max(data_hi, record.addr + 4);
-        break;
-      case Kind::kStore:
-        tag = 2;
-        last = &last_data;
-        ++stores;
-        data_lo = std::min(data_lo, record.addr);
-        data_hi = std::max(data_hi, record.addr + 4);
-        break;
-      case Kind::kBranch:
-        tag = 3;
-        last = &last_code;
-        ++branches;
-        if (record.taken) {
-          tag |= kTakenBit;
-          ++taken_branches;
-        }
-        break;
-    }
-    std::uint8_t* p = base + len;
-    *p++ = tag;
-    std::uint64_t value =
-        zigzag_encode(static_cast<std::int64_t>(record.addr - *last));
-    while (value >= 0x80) {
-      *p++ = static_cast<std::uint8_t>(value) | 0x80;
-      value >>= 7;
-    }
-    *p++ = static_cast<std::uint8_t>(value);
-    len = static_cast<std::size_t>(p - base);
-    *last = record.addr;
+    p = encoder_.put(records[i].kind, records[i].taken, records[i].addr, p);
   }
-  buf_len_ = len;
-  last_code_ = last_code;
-  last_data_ = last_data;
-  instructions_ = instructions;
-  loads_ = loads;
-  stores_ = stores;
-  branches_ = branches;
-  taken_branches_ = taken_branches;
-  data_lo_ = data_lo;
-  data_hi_ = data_hi;
-  code_lo_ = code_lo;
-  code_hi_ = code_hi;
-  records_ += count;
+  buf_len_ = static_cast<std::size_t>(p - base);
 }
 
-TraceStats TraceWriter::stats() const {
-  TraceStats s;
-  s.instructions = instructions_;
-  s.loads = loads_;
-  s.stores = stores_;
-  s.branches = branches_;
-  s.taken_branches = taken_branches_;
-  if (data_hi_ > data_lo_) {
-    s.data_footprint_bytes = data_hi_ - data_lo_;
+void TraceWriter::append_encoded(const EncodedRecords& records) {
+  expects(!finished_ && encoder_.records() == 0,
+          "an in-memory capture must start the trace");
+  if (records.bytes() > 0 &&
+      std::fwrite(records.data(), 1, records.bytes(), file_) !=
+          records.bytes()) {
+    throw bad_trace_errno(path_, "short write");
   }
-  if (code_hi_ > code_lo_) {
-    s.code_footprint_bytes = code_hi_ - code_lo_;
-  }
-  return s;
+  encoder_ = records.encoder();
 }
 
 void TraceWriter::finish() {
@@ -359,7 +292,7 @@ void TraceWriter::finish() {
   // fails, the FILE* is closed and the writer is finished: a failed
   // finish leaves an invalid (footerless or torn) file, never a leak.
   std::uint8_t footer[kTraceFooterBytes];
-  encode_footer(footer, records_, stats());
+  encode_footer(footer, encoder_.records(), stats());
   try {
     flush_buffer();
     if (std::fwrite(footer, 1, sizeof footer, file_) != sizeof footer) {
@@ -394,10 +327,11 @@ void TraceWriter::finish() {
 
 TraceFileSource::TraceFileSource(const std::string& path,
                                  std::size_t buffer_bytes)
-    : path_(path) {
+    : path_(path), window_(buffer_bytes) {
   expects(buffer_bytes >= 1, "trace reader window must be non-empty");
-  buffer_.resize(buffer_bytes);
+  buffer_.resize(buffer_bytes + kMaxRecordBytes);
   file_ = open_and_validate(path, info_);
+  payload_left_ = info_.payload_bytes;
 }
 
 TraceFileSource::~TraceFileSource() {
@@ -406,68 +340,33 @@ TraceFileSource::~TraceFileSource() {
   }
 }
 
-std::uint8_t TraceFileSource::take_byte() {
-  if (buf_pos_ == buf_len_) {
-    const std::uint64_t left = info_.payload_bytes - payload_consumed_;
-    if (left == 0) {
-      throw bad_trace(path_, "payload ends before its record count");
-    }
-    buf_len_ = std::fread(
-        buffer_.data(), 1,
-        static_cast<std::size_t>(
-            std::min<std::uint64_t>(buffer_.size(), left)),
-        file_);
-    buf_pos_ = 0;
-    if (buf_len_ == 0) {
-      throw bad_trace(path_, "payload read failed");
-    }
-  }
-  ++payload_consumed_;
-  return buffer_[buf_pos_++];
-}
-
-std::uint64_t TraceFileSource::take_varint() {
-  std::uint64_t value = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    const std::uint8_t byte = take_byte();
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      return value;
-    }
-  }
-  throw bad_trace(path_, "varint longer than 64 bits");
-}
-
-bool TraceFileSource::next(Record& out) {
-  if (emitted_ == info_.records) {
-    if (payload_consumed_ != info_.payload_bytes) {
-      throw bad_trace(path_, "payload bytes left over after the last record");
-    }
-    return false;
-  }
-  const std::uint8_t tag = take_byte();
-  if ((tag & kReservedMask) != 0) {
-    throw bad_trace(path_, "corrupt record tag (reserved bits set)");
-  }
-  const std::uint8_t kind = tag & kKindMask;
-  const bool taken = (tag & kTakenBit) != 0;
-  if (taken && kind != 3) {
-    throw bad_trace(path_, "taken flag on a non-branch record");
-  }
-  const std::int64_t delta = zigzag_decode(take_varint());
-  std::uint64_t* last = (kind == 1 || kind == 2) ? &last_data_ : &last_code_;
-  *last += static_cast<std::uint64_t>(delta);
-  out.kind = static_cast<Kind>(kind);
-  out.taken = taken;
-  out.addr = *last;
-  ++emitted_;
-  return true;
-}
-
 std::size_t TraceFileSource::next_batch(Record* out, std::size_t max) {
   std::size_t produced = 0;
-  while (produced < max && next(out[produced])) {
-    ++produced;
+  while (produced < max) {
+    if (emitted_ == info_.records) {
+      if (buf_pos_ != buf_len_ || payload_left_ != 0) {
+        throw bad_trace(path_, "payload bytes left over after the last record");
+      }
+      break;
+    }
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(max - produced, info_.records - emitted_));
+    const std::uint8_t* pos = buffer_.data() + buf_pos_;
+    const std::size_t got = decoder_.decode(
+        pos, buffer_.data() + buf_len_, out + produced, want);
+    buf_pos_ = static_cast<std::size_t>(pos - buffer_.data());
+    produced += got;
+    emitted_ += got;
+    if (decoder_.fault() != PayloadDecoder::Fault::kNone) {
+      throw bad_trace(path_, PayloadDecoder::describe(decoder_.fault()));
+    }
+    if (got < want &&
+        refill_window(file_, buffer_, buf_pos_, buf_len_, payload_left_,
+                      window_) == 0) {
+      throw bad_trace(path_, payload_left_ == 0
+                                 ? "payload ends before its record count"
+                                 : "payload read failed");
+    }
   }
   return produced;
 }
@@ -479,10 +378,9 @@ void TraceFileSource::reset() {
   }
   buf_pos_ = 0;
   buf_len_ = 0;
-  payload_consumed_ = 0;
+  payload_left_ = info_.payload_bytes;
   emitted_ = 0;
-  last_code_ = 0;
-  last_data_ = 0;
+  decoder_.reset();
 }
 
 // ---------------------------------------------------------------------
@@ -491,51 +389,9 @@ void TraceFileSource::reset() {
 
 namespace {
 
-/// Streaming byte cursor over a payload window of `file` (already
-/// positioned at the window start). Unlike TraceFileSource::take_byte it
-/// reports end-of-window instead of throwing: the scanner's job is to
-/// find where decodability stops, not to reject the file.
-class PayloadCursor {
- public:
-  PayloadCursor(std::FILE* file, std::uint64_t window_bytes)
-      : file_(file), left_(window_bytes) {}
-
-  /// False at the end of the window or on a read error.
-  [[nodiscard]] bool next_byte(std::uint8_t& out) {
-    if (pos_ == len_) {
-      if (left_ == 0 || file_ == nullptr) {
-        return false;
-      }
-      len_ = std::fread(buffer_, 1,
-                        static_cast<std::size_t>(
-                            std::min<std::uint64_t>(sizeof buffer_, left_)),
-                        file_);
-      pos_ = 0;
-      if (len_ == 0) {
-        file_ = nullptr;  // read error: treat as end of decodable bytes
-        return false;
-      }
-      left_ -= len_;
-    }
-    ++consumed_;
-    out = buffer_[pos_++];
-    return true;
-  }
-
-  [[nodiscard]] std::uint64_t consumed() const noexcept { return consumed_; }
-
- private:
-  std::FILE* file_;
-  std::uint64_t left_;
-  std::uint8_t buffer_[kTraceIoBufferBytes];
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-  std::uint64_t consumed_ = 0;
-};
-
 /// What a raw payload decode found: the longest prefix of fully-valid
-/// records, its stats (recomputed exactly the way TraceWriter tracks
-/// them), and why the scan stopped early, if it did.
+/// records, its stats (tallied exactly the way TraceWriter tracks them),
+/// and why the scan stopped early, if it did.
 struct PayloadScan {
   std::uint64_t records = 0;
   std::uint64_t bytes = 0;  ///< payload bytes those records occupy
@@ -544,96 +400,48 @@ struct PayloadScan {
   std::string detail;
 };
 
+/// Decodes the `window_bytes` payload bytes at `file`'s position. A read
+/// error ends the decodable bytes, like the end of the window.
 [[nodiscard]] PayloadScan scan_payload(std::FILE* file,
                                        std::uint64_t window_bytes) {
-  PayloadCursor cursor(file, window_bytes);
   PayloadScan scan;
-  std::uint64_t last_code = 0, last_data = 0;
-  std::uint64_t data_lo = ~0ULL, data_hi = 0, code_lo = ~0ULL, code_hi = 0;
-  auto stop = [&](const std::string& why) {
-    scan.detail = why + " at payload offset " +
-                  std::to_string(cursor.consumed() - 1);
-  };
+  std::vector<std::uint8_t> buffer(kTraceIoBufferBytes + kMaxRecordBytes);
+  std::size_t pos = 0;
+  std::size_t len = 0;
+  std::uint64_t left = window_bytes;
+  PayloadDecoder decoder;
+  TraceTally tally;
+  Record block[kReplayBlockRecords];
   for (;;) {
-    std::uint8_t tag = 0;
-    if (!cursor.next_byte(tag)) {
-      scan.complete = true;  // ended exactly on a record boundary
+    const std::uint8_t* p = buffer.data() + pos;
+    const std::size_t got = decoder.decode(p, buffer.data() + len, block,
+                                           kReplayBlockRecords);
+    for (std::size_t i = 0; i < got; ++i) {
+      tally.add(block[i].kind, block[i].taken, block[i].addr);
+    }
+    scan.records += got;
+    scan.bytes += static_cast<std::uint64_t>(p - (buffer.data() + pos));
+    pos = static_cast<std::size_t>(p - buffer.data());
+    if (decoder.fault() != PayloadDecoder::Fault::kNone) {
+      scan.detail = std::string(PayloadDecoder::describe(decoder.fault())) +
+                    " at payload offset " + std::to_string(scan.bytes);
       break;
     }
-    if ((tag & kReservedMask) != 0) {
-      stop("corrupt record tag (reserved bits set)");
-      break;
+    if (got == kReplayBlockRecords) {
+      continue;
     }
-    const std::uint8_t kind = tag & kKindMask;
-    if ((tag & kTakenBit) != 0 && kind != 3) {
-      stop("taken flag on a non-branch record");
-      break;
-    }
-    std::uint64_t raw = 0;
-    bool torn = false, overlong = false;
-    for (unsigned shift = 0;; shift += 7) {
-      if (shift >= 64) {
-        overlong = true;
-        break;
+    if (refill_window(file, buffer, pos, len, left, kTraceIoBufferBytes) ==
+        0) {
+      if (len == 0) {
+        scan.complete = true;  // ended exactly on a record boundary
+      } else {
+        scan.detail = "record torn mid-varint at payload offset " +
+                      std::to_string(scan.bytes);
       }
-      std::uint8_t byte = 0;
-      if (!cursor.next_byte(byte)) {
-        torn = true;
-        break;
-      }
-      raw |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        break;
-      }
-    }
-    if (torn) {
-      scan.detail = "record torn mid-varint at payload offset " +
-                    std::to_string(scan.bytes);
       break;
     }
-    if (overlong) {
-      stop("varint longer than 64 bits");
-      break;
-    }
-    const std::uint64_t addr =
-        ((kind == 1 || kind == 2) ? last_data : last_code) +
-        static_cast<std::uint64_t>(zigzag_decode(raw));
-    switch (kind) {
-      case 0:
-        ++scan.stats.instructions;
-        last_code = addr;
-        code_lo = std::min(code_lo, addr);
-        code_hi = std::max(code_hi, addr + 4);
-        break;
-      case 1:
-        ++scan.stats.loads;
-        last_data = addr;
-        data_lo = std::min(data_lo, addr);
-        data_hi = std::max(data_hi, addr + 4);
-        break;
-      case 2:
-        ++scan.stats.stores;
-        last_data = addr;
-        data_lo = std::min(data_lo, addr);
-        data_hi = std::max(data_hi, addr + 4);
-        break;
-      case 3:
-        ++scan.stats.branches;
-        last_code = addr;
-        if ((tag & kTakenBit) != 0) {
-          ++scan.stats.taken_branches;
-        }
-        break;
-    }
-    ++scan.records;
-    scan.bytes = cursor.consumed();
   }
-  if (data_hi > data_lo) {
-    scan.stats.data_footprint_bytes = data_hi - data_lo;
-  }
-  if (code_hi > code_lo) {
-    scan.stats.code_footprint_bytes = code_hi - code_lo;
-  }
+  scan.stats = tally.stats();
   return scan;
 }
 
@@ -834,11 +642,8 @@ TraceStats write_trace(const std::string& path, TraceSource& source) {
 }
 
 TraceStats write_trace(const std::string& path, const Tracer& tracer) {
-  // In-memory capture: the record vector is already contiguous, so the
-  // whole trace encodes in one append_batch pass with no staging copy.
   TraceWriter writer(path);
-  const std::vector<Record>& records = tracer.records();
-  writer.append_batch(records.data(), records.size());
+  writer.append_encoded(tracer.records());
   writer.finish();
   return writer.stats();
 }

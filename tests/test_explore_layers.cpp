@@ -3,7 +3,9 @@
 // index == RNG stream identity, so this is a determinism pin, not a
 // style check), ListPointSource preserves given indices, the sinks
 // format/tally rows faithfully, and an Executor fed a subset of a grid
-// reproduces the matching rows of a full run_sweep byte-for-byte.
+// reproduces the matching rows of a full run_sweep byte-for-byte. A run
+// generates each workload trace once, whatever its thread count, and
+// keeps none once it ends.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +18,8 @@
 #include "hvc/explore/executor.hpp"
 #include "hvc/explore/point_source.hpp"
 #include "hvc/explore/sink.hpp"
+#include "hvc/trace/trace_file.hpp"
+#include "hvc/workloads/workload.hpp"
 
 namespace hvc::explore {
 namespace {
@@ -292,6 +296,73 @@ TEST(ExecutorTest, SweepColumnsMatchRunSweep) {
   const SweepSpec meth = SweepSpec::parse(kMethodologySpec);
   EXPECT_EQ(sweep_columns(SweepKind::kMethodology),
             run_sweep(meth, 1).columns);
+}
+
+/// One run of `spec` on `executor`, rows collected and dropped.
+ExecStats run_spec(Executor& executor, const SweepSpec& spec) {
+  GridPointSource source(spec);
+  SweepResult result;
+  CollectSink collect(&result);
+  return executor.run(spec, source, collect);
+}
+
+[[nodiscard]] SweepSpec example_spec(const std::string& file) {
+  return SweepSpec::parse(
+      read_text_file(std::string(HVC_EXAMPLES_DIR) + "/" + file));
+}
+
+TEST(TraceMemoTest, EachTraceIsGeneratedOncePerRunAtAnyThreadCount) {
+  // One generation per (workload, per-core seed, scale): fig3's 24 points
+  // replay 6 kernels; multicore_sweep's 42 per-core uses come from 6
+  // (kernel, core seed) pairs; sweep_vcc's 592 points replay 4 kernels.
+  struct Case {
+    const char* file;
+    std::size_t points;
+    std::size_t traces;
+  };
+  for (const Case& c : {Case{"fig3.json", 24, 6},
+                        Case{"multicore_sweep.json", 18, 6},
+                        Case{"sweep_vcc.json", 592, 4}}) {
+    const SweepSpec spec = example_spec(c.file);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      Executor executor(threads);
+      const ExecStats stats = run_spec(executor, spec);
+      EXPECT_EQ(stats.points, c.points) << c.file;
+      EXPECT_EQ(stats.traces_generated, c.traces)
+          << c.file << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(TraceMemoTest, TheMemoEndsWithItsRun) {
+  // A long-lived executor (the daemon's) keeps no trace between runs, so
+  // a second run of the same spec generates every trace again.
+  const SweepSpec spec = example_spec("fig3.json");
+  Executor executor(4);
+  EXPECT_EQ(run_spec(executor, spec).traces_generated, 6u);
+  EXPECT_EQ(run_spec(executor, spec).traces_generated, 6u);
+}
+
+TEST(TraceMemoTest, TraceReferencesStreamFromDiskAndAreNotMemoized) {
+  const std::string path = ::testing::TempDir() + "hvc_memo_adpcm_c.hvct";
+  {
+    const wl::WorkloadResult capture = wl::find_workload("adpcm_c").run(1, 1);
+    (void)trace::write_trace(path, capture.tracer);
+  }
+  const SweepSpec spec = SweepSpec::parse(R"({
+    "name": "memo_trace_ref",
+    "kind": "simulation",
+    "axes": {
+      "scenario": ["A"],
+      "design": ["baseline", "proposed"],
+      "mode": ["hp", "ule"],
+      "workload": ["epic_d", "trace:)" + path + R"("]
+    }
+  })");
+  Executor executor(2);
+  const ExecStats stats = run_spec(executor, spec);
+  EXPECT_EQ(stats.points, 8u);
+  EXPECT_EQ(stats.traces_generated, 1u);  // epic_d only
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // In-process tests for the hvc_explore serve daemon: the line-delimited
 // JSON protocol, byte-identity of streamed rows against run_sweep,
 // concurrent clients sharing one executor and store, error events for
-// bad requests, and the clean-shutdown contract (a stopped daemon's
-// store passes fsck with exit-code-0 status, and a resumed daemon
-// answers the same bytes warm).
+// bad requests, overlong lines and clients past the cap, and the
+// clean-shutdown contract (a stopped daemon's store passes fsck with
+// exit-code-0 status, and a resumed daemon answers the same bytes warm).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -78,10 +78,10 @@ struct QueryResult {
   std::string id_echo;  ///< the id the first event carried back, dumped
 };
 
-[[nodiscard]] QueryResult query(const std::string& socket_path,
-                                const std::string& spec_text,
-                                const std::string& id = "") {
-  UnixStream stream = UnixStream::connect(socket_path);
+/// One query on an open connection.
+[[nodiscard]] QueryResult query_on(UnixStream& stream,
+                                   const std::string& spec_text,
+                                   const std::string& id = "") {
   Json request;
   request.set("spec", Json::parse(spec_text));
   if (!id.empty()) {
@@ -123,6 +123,14 @@ struct QueryResult {
       return result;
     }
   }
+}
+
+/// One query on a fresh connection.
+[[nodiscard]] QueryResult query(const std::string& socket_path,
+                                const std::string& spec_text,
+                                const std::string& id = "") {
+  UnixStream stream = UnixStream::connect(socket_path);
+  return query_on(stream, spec_text, id);
 }
 
 TEST(ServeTest, StreamedRowsAreByteIdenticalToBatchRunSweep) {
@@ -291,6 +299,33 @@ TEST(ServeTest, OverlongRequestGetsAnErrorThenEofAndTheDaemonServesOn) {
   }
   // The next client is served normally.
   const QueryResult result = query(socket_path, kSpecText);
+  EXPECT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.csv, run_sweep(SweepSpec::parse(kSpecText), 1).to_csv());
+}
+
+TEST(ServeTest, ClientBeyondTheCapGetsAnErrorThenEofAndTheDaemonServesOn) {
+  const std::string socket_path = temp_name("cap.sock");
+  ServiceRunner runner(ServeOptions{socket_path, "", false, 1, false});
+  // The daemon accepts in connection order, so the one past the cap
+  // arrives while all the others are still open.
+  std::vector<UnixStream> clients;
+  for (std::size_t i = 0; i < UnixStream::kMaxClients; ++i) {
+    clients.push_back(UnixStream::connect(socket_path));
+  }
+  {
+    UnixStream refused = UnixStream::connect(socket_path);
+    std::string line;
+    ASSERT_EQ(refused.read_line(line), UnixStream::ReadStatus::kLine);
+    const Json event = Json::parse(line);
+    EXPECT_EQ(event.at("event").as_string(), "error");
+    EXPECT_NE(event.at("error").as_string().find(
+                  std::to_string(UnixStream::kMaxClients)),
+              std::string::npos)
+        << event.at("error").as_string();
+    EXPECT_EQ(refused.read_line(line), UnixStream::ReadStatus::kEof);
+  }
+  // The clients within the cap are still served.
+  const QueryResult result = query_on(clients.back(), kSpecText);
   EXPECT_TRUE(result.error.empty()) << result.error;
   EXPECT_EQ(result.csv, run_sweep(SweepSpec::parse(kSpecText), 1).to_csv());
 }

@@ -1,11 +1,21 @@
 // Tracer / traced-array tests.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hvc/common/error.hpp"
 #include "hvc/trace/trace.hpp"
 
 namespace hvc::trace {
 namespace {
+
+/// Every record of a capture, decoded.
+[[nodiscard]] std::vector<Record> decoded(const Tracer& tracer) {
+  MemoryTraceSource source(tracer);
+  std::vector<Record> records(source.size_hint());
+  records.resize(source.next_batch(records.data(), records.size()));
+  return records;
+}
 
 TEST(Tracer, BlockLayoutSequential) {
   Tracer t;
@@ -19,7 +29,7 @@ TEST(Tracer, ExecEmitsFetchesAndBranch) {
   Tracer t;
   const Block a = t.block(3);
   t.exec(a, true);
-  const auto& records = t.records();
+  const std::vector<Record> records = decoded(t);
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records[0].kind, Kind::kIfetch);
   EXPECT_EQ(records[0].addr, a.base());
@@ -43,7 +53,7 @@ TEST(TracedArray, RecordsLoadsAndStores) {
   Array<std::int32_t> arr(t, 8);
   arr.set(2, 42);
   EXPECT_EQ(arr.get(2), 42);
-  const auto& records = t.records();
+  const std::vector<Record> records = decoded(t);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].kind, Kind::kStore);
   EXPECT_EQ(records[0].addr, arr.base() + 8);

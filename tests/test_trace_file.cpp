@@ -1,7 +1,8 @@
 // Streaming .hvct trace capture/replay: format round-trip, corruption
-// and truncation error paths, bounded-window reading, and the
-// differential pin that replaying a recorded trace from disk is
-// bit-identical to the in-memory run on 1- and 2-core systems.
+// and truncation error paths, seeded fuzzing of the decoder, bounded-
+// window reading, and the differential pin that replaying a recorded
+// trace from disk is bit-identical to the in-memory run on 1- and 2-core
+// systems.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "hvc/common/error.hpp"
+#include "hvc/common/rng.hpp"
 #include "hvc/explore/spec.hpp"
 #include "hvc/sim/system.hpp"
 #include "hvc/trace/trace.hpp"
@@ -32,6 +34,14 @@ wl::WorkloadResult record_workload(const std::string& name,
   EXPECT_TRUE(result.self_check);
   (void)write_trace(path, result.tracer);
   return result;
+}
+
+/// Every record of a capture, decoded.
+[[nodiscard]] std::vector<Record> decoded(const Tracer& tracer) {
+  MemoryTraceSource source(tracer);
+  std::vector<Record> records(source.size_hint());
+  records.resize(source.next_batch(records.data(), records.size()));
+  return records;
 }
 
 [[nodiscard]] std::vector<Record> drain(TraceSource& source) {
@@ -95,7 +105,7 @@ TEST(TraceFile, RoundTripRecordsAndStats) {
   TraceFileSource source(path);
   EXPECT_EQ(source.size_hint(), workload.tracer.records().size());
   const std::vector<Record> from_disk = drain(source);
-  expect_same_records(from_disk, workload.tracer.records());
+  expect_same_records(from_disk, decoded(workload.tracer));
   // The footer stats are exactly Tracer::stats() of the recorded stream.
   expect_same_stats(source.info().stats, workload.tracer.stats());
   // Compact: the whole point of delta/varint encoding.
@@ -108,7 +118,7 @@ TEST(TraceFile, WriterStatsMatchTracerStats) {
   const wl::WorkloadResult workload =
       wl::find_workload("epic_c").run(3, 1);
   TraceWriter writer(path);
-  for (const Record& record : workload.tracer.records()) {
+  for (const Record& record : decoded(workload.tracer)) {
     writer.append(record);
   }
   writer.finish();
@@ -123,7 +133,7 @@ TEST(TraceFile, RecordByRecordAppendMatchesOneBatch) {
   // call — and compare the bytes.
   const wl::WorkloadResult workload =
       wl::find_workload("epic_c").run(3, 1);
-  const std::vector<Record>& records = workload.tracer.records();
+  const std::vector<Record> records = decoded(workload.tracer);
   const std::string single = temp_path("append_single.hvct");
   const std::string batch = temp_path("append_batch.hvct");
   {
@@ -150,7 +160,7 @@ TEST(TraceFile, TinyReadWindowDecodesIdentically) {
   const std::string path = temp_path("tiny_window.hvct");
   const wl::WorkloadResult workload = record_workload("adpcm_d", path);
   TraceFileSource tiny(path, /*buffer_bytes=*/3);
-  expect_same_records(drain(tiny), workload.tracer.records());
+  expect_same_records(drain(tiny), decoded(workload.tracer));
 }
 
 TEST(TraceFile, ResetReplaysIdentically) {
@@ -333,7 +343,7 @@ TEST_F(TraceFsck, TruncatedTailIsRecoverableAndRepairSalvagesThePrefix) {
   // original capture — same kinds, taken flags and absolute addresses.
   TraceFileSource source(path_);
   const std::vector<Record> kept = drain(source);
-  const std::vector<Record>& original = capture_.tracer.records();
+  const std::vector<Record> original = decoded(capture_.tracer);
   ASSERT_EQ(kept.size(), report.records);
   expect_same_records(
       kept, {original.begin(),
@@ -382,6 +392,77 @@ TEST_F(TraceFsck, HeaderOnlyFileRepairsToAValidEmptyTrace) {
   EXPECT_EQ(repair_trace(path_).status, TraceFsckStatus::kClean);
   TraceFileSource source(path_);
   EXPECT_TRUE(drain(source).empty());
+}
+
+// ---------------------------------------------------------------------
+// Fuzzing: seeded byte flips, truncations and splices of a recorded trace
+// ---------------------------------------------------------------------
+
+/// A mutated copy of `bytes`: kind 0 flips one to four bits anywhere in
+/// the file, kind 1 truncates it, kind 2 splices it (a prefix joined to
+/// a suffix that starts elsewhere, dropping or repeating a span).
+[[nodiscard]] std::vector<char> mutate(const std::vector<char>& bytes,
+                                       Rng& rng, int kind) {
+  std::vector<char> out = bytes;
+  if (kind == 0) {
+    const std::uint64_t flips = 1 + rng.below(4);
+    for (std::uint64_t i = 0; i < flips; ++i) {
+      out[rng.below(out.size())] ^= static_cast<char>(1u << rng.below(8));
+    }
+  } else if (kind == 1) {
+    out.resize(rng.below(out.size()));
+  } else {
+    const std::size_t cut = rng.below(out.size());
+    const std::size_t resume = rng.below(out.size());
+    out.assign(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+    out.insert(out.end(), bytes.begin() + static_cast<std::ptrdiff_t>(resume),
+               bytes.end());
+  }
+  return out;
+}
+
+TEST(TraceFuzz, MutatedTracesDecodeToTheirRecordCountOrThrowConfigError) {
+  const std::string original_path = temp_path("fuzz_original.hvct");
+  (void)record_workload("adpcm_d", original_path);
+  const std::vector<char> original = slurp(original_path);
+  const std::string path = temp_path("fuzz_case.hvct");
+  Rng rng(0xF022);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 240; ++i) {
+    spit(path, mutate(original, rng, i % 3));
+    // Small read windows cut records at many offsets; the rest read in
+    // the default window.
+    const std::size_t window =
+        i % 2 == 0 ? kTraceIoBufferBytes : 1 + rng.below(32);
+    bool decodes = false;
+    try {
+      TraceFileSource source(path, window);
+      Record block[kReplayBlockRecords];
+      std::uint64_t records = 0;
+      std::size_t got = 0;
+      while ((got = source.next_batch(block, kReplayBlockRecords)) > 0) {
+        records += got;
+      }
+      EXPECT_EQ(records, source.info().records) << "case " << i;
+      decodes = true;
+    } catch (const ConfigError&) {
+    }
+    ++(decodes ? decoded : rejected);
+    try {
+      const TraceFsckReport report = fsck_trace(path);
+      // A clean verdict means every check of the strict reader holds.
+      if (report.status == TraceFsckStatus::kClean) {
+        EXPECT_TRUE(decodes) << "case " << i << ": " << report.detail;
+      }
+      EXPECT_LE(kTraceHeaderBytes + report.payload_bytes, report.file_bytes)
+          << "case " << i;
+    } catch (const ConfigError&) {
+    }
+  }
+  // Both outcomes occur, or the mutations test nothing.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -226,7 +226,15 @@ TEST_P(AllWorkloads, DeterministicTrace) {
   const WorkloadResult a = info.run(5, 1);
   const WorkloadResult b = info.run(5, 1);
   ASSERT_EQ(a.tracer.records().size(), b.tracer.records().size());
-  EXPECT_EQ(a.tracer.records()[100].addr, b.tracer.records()[100].addr);
+  trace::MemoryTraceSource source_a(a.tracer);
+  trace::MemoryTraceSource source_b(b.tracer);
+  trace::Record record_a;
+  trace::Record record_b;
+  for (int i = 0; i <= 100; ++i) {
+    ASSERT_TRUE(source_a.next(record_a));
+    ASSERT_TRUE(source_b.next(record_b));
+  }
+  EXPECT_EQ(record_a.addr, record_b.addr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, AllWorkloads,
